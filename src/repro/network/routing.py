@@ -16,14 +16,26 @@ Implementation notes:
   source rail and the last hop the destination rail.  The BFS is seeded
   only through destination links whose ToR matches the destination rail,
   and the source host filters its candidate links by source rail.
-* Results are memoized per (destination, rail) and invalidated whenever
-  the topology's version counter changes (link failures, rewiring).
+* One flood serves every destination with the same *seed set*: the
+  healthy, rail-matching neighbours the BFS starts from.  On a
+  rail-optimised fabric every same-rail NIC of a block hangs off the
+  same ToRs, so a block's hosts share one flood.  The flood is a
+  multi-source BFS from the seed set at distance 0; a host
+  destination's map is that flood shifted by +1 with the destination
+  pinned at 0.  Hosts are never expanded, so pre-marking the
+  destination changes no other label and the ECMP choices are the
+  same as a per-destination BFS.  A non-host destination (scenarios
+  may name a switch) must not transit either, so it joins the flood's
+  key and is marked non-transit.
+* Floods are memoized per (seed set, non-host destination), distance
+  maps per (destination, rail); both are dropped whenever the
+  topology's version counter changes (link failures, rewiring).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..topology.elements import Device, DeviceKind, Link, Topology
 from .ecmp import EcmpHasher
@@ -74,12 +86,15 @@ class EcmpRouter:
         self.hasher = hasher or EcmpHasher()
         self._dist_cache: Dict[Tuple[str, Optional[int]],
                                Dict[str, int]] = {}
+        self._flood_cache: Dict[Tuple[Tuple[str, ...], Optional[str]],
+                                Dict[str, int]] = {}
         self._cache_version = topology.version
 
     # -- distance maps -----------------------------------------------------
     def _invalidate_if_stale(self) -> None:
         if self._cache_version != self.topology.version:
             self._dist_cache.clear()
+            self._flood_cache.clear()
             self._cache_version = self.topology.version
 
     def distances_to(self, dst_host: str, dst_rail: Optional[int]
@@ -92,27 +107,39 @@ class EcmpRouter:
             return cached
 
         topo = self.topology
-        dist: Dict[str, int] = {dst_host: 0}
-        frontier: deque[str] = deque()
         # Seed only through the destination's rail-matching ToR links.
+        seeds = set()
         for link, neighbor in topo.neighbors(dst_host):
             neighbor_rail = _rail_of(neighbor)
             if (dst_rail is not None and neighbor_rail is not None
                     and neighbor_rail != dst_rail):
                 continue
-            if neighbor.name not in dist:
-                dist[neighbor.name] = 1
-                frontier.append(neighbor.name)
-        while frontier:
-            current = frontier.popleft()
-            device = topo.devices[current]
-            if device.kind is DeviceKind.HOST:
-                continue  # hosts never transit traffic
-            next_hops = dist[current] + 1
-            for link, neighbor in topo.neighbors(current):
-                if neighbor.name not in dist:
-                    dist[neighbor.name] = next_hops
-                    frontier.append(neighbor.name)
+            seeds.add(neighbor.name)
+        # Hosts never transit traffic; any other destination must be
+        # kept from transiting explicitly, so it joins the flood's key.
+        blocked = None if topo.devices[dst_host].kind is DeviceKind.HOST \
+            else dst_host
+        flood_key = (tuple(sorted(seeds)), blocked)
+        flood = self._flood_cache.get(flood_key)
+        if flood is None:
+            # Multi-source BFS from the seed set at distance 0.
+            flood = dict.fromkeys(flood_key[0], 0)
+            frontier: deque[str] = deque(flood)
+            while frontier:
+                current = frontier.popleft()
+                if (current == blocked
+                        or topo.devices[current].kind is DeviceKind.HOST):
+                    continue
+                next_hops = flood[current] + 1
+                for link, neighbor in topo.neighbors(current):
+                    if neighbor.name not in flood:
+                        flood[neighbor.name] = next_hops
+                        frontier.append(neighbor.name)
+            self._flood_cache[flood_key] = flood
+        # Shift by one hop and pin the destination: exact, because the
+        # destination is never expanded in either flood.
+        dist = {name: hops + 1 for name, hops in flood.items()}
+        dist[dst_host] = 0
         self._dist_cache[key] = dist
         return dist
 
@@ -161,39 +188,20 @@ class EcmpRouter:
                       ) -> Optional[Tuple[int, ...]]:
         """The failed-link cut isolating *src* from *dst*, if any.
 
-        Floods from *src* over healthy links (hosts do not transit; the
-        first hop honours *src_rail* when given, mirroring the router's
-        rail binding).  Returns None when *dst* is still reachable, else
-        the sorted ids of unhealthy links on the reachable component's
-        frontier — the cut whose repair would reconnect the pair.
+        Links are undirected, so the devices that can reach *src* are
+        the keys of its distance map (hosts do not transit; the first
+        hop honours *src_rail* when given, mirroring the router's rail
+        binding).  Returns None when *dst* is among them, else the
+        sorted ids of unhealthy links on that component's frontier —
+        the cut whose repair would reconnect the pair.
         """
-        topo = self.topology
-        reached: Set[str] = {src}
-        frontier: deque[str] = deque()
-        for link, neighbor in topo.neighbors(src):
-            neighbor_rail = _rail_of(neighbor)
-            if (src_rail is not None and neighbor_rail is not None
-                    and neighbor_rail != src_rail):
-                continue
-            if neighbor.name not in reached:
-                reached.add(neighbor.name)
-                frontier.append(neighbor.name)
-        while frontier:
-            current = frontier.popleft()
-            if current == dst:
-                return None
-            if topo.devices[current].kind is DeviceKind.HOST:
-                continue
-            for link, neighbor in topo.neighbors(current):
-                if neighbor.name not in reached:
-                    reached.add(neighbor.name)
-                    frontier.append(neighbor.name)
+        reached = self.distances_to(src, src_rail)
         if dst in reached:
             return None
         cut = {
             link.link_id
             for device in reached
-            for link in topo.links_of(device)
+            for link in self.topology.links_of(device)
             if not link.healthy
         }
         return tuple(sorted(cut))
