@@ -119,10 +119,7 @@ class Pingmesh:
         topo = self.fabric.topology
         if hosts is None:
             hosts = [h.name for h in topo.hosts()]
-        return {
-            host: sum(1 for link in topo.links_of(host) if link.healthy)
-            for host in hosts
-        }
+        return {host: topo.healthy_degree(host) for host in hosts}
 
     def sweep(self, hosts: Optional[List[str]] = None, rail: int = 0,
               max_pairs: int = 200, seed: int = 0,

@@ -239,14 +239,16 @@ def build_astral(params: AstralParams | None = None) -> Topology:
     # Host -> ToR links (P3: port g of rail-r NIC to group-g ToR).
     for pod in range(params.pods):
         for block in range(params.blocks_per_pod):
+            tors = [[_tor_name(pod, block, rail, group)
+                     for group in range(params.tor_groups)]
+                    for rail in range(params.rails)]
             for index in range(params.hosts_per_block):
                 host = _host_name(pod, block, index)
                 for rail in range(params.rails):
                     for group in range(params.tor_groups):
                         topo.add_link(
                             PortRef(host, rail * params.nic_ports + group),
-                            PortRef(_tor_name(pod, block, rail, group),
-                                    index),
+                            PortRef(tors[rail][group], index),
                             params.nic_port_gbps,
                         )
 

@@ -16,11 +16,11 @@ links whose capacity expresses the intra:cross oversubscription ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List
 
 from .astral import AstralParams, build_astral
-from .elements import Device, DeviceKind, PortRef, Switch, Topology
+from .elements import DeviceKind, Host, PortRef, Switch, Topology
 
 __all__ = ["CrossDcParams", "build_cross_dc", "FiberCostModel"]
 
@@ -56,21 +56,15 @@ def _copy_into(target: Topology, source: Topology, prefix: str) -> None:
     """Copy a fabric's devices and links under a name prefix."""
     renamed: Dict[str, str] = {}
     for device in source.devices.values():
-        clone = Device.__new__(type(device))
-        clone.__dict__.update(device.__dict__)
-        clone.name = f"{prefix}{device.name}"
-        for attr in ("gpus", "nics"):
-            items = getattr(clone, attr, None)
-            if items:
-                renamed_items = []
-                for item in items:
-                    copy = type(item)(**{**item.__dict__,
-                                         "name": f"{prefix}{item.name}",
-                                         "host": clone.name})
-                    renamed_items.append(copy)
-                setattr(clone, attr, renamed_items)
-        renamed[device.name] = clone.name
-        target.add_device(clone)
+        name = f"{prefix}{device.name}"
+        changes = {"name": name}
+        if isinstance(device, Host):
+            for attr in ("gpus", "nics"):
+                changes[attr] = [
+                    replace(item, name=f"{prefix}{item.name}", host=name)
+                    for item in getattr(device, attr)]
+        renamed[device.name] = name
+        target.add_device(replace(device, **changes))
     for link in source.links.values():
         target.add_link(
             PortRef(renamed[link.a.device], link.a.port),

@@ -44,19 +44,13 @@ class DeviceKind(enum.Enum):
     CORE = "core"
     DCI = "dci"  # cross-datacenter interconnect router (Appendix B)
 
-    @property
-    def tier(self) -> int:
-        """Switching tier: hosts are tier 0, ToR 1, Agg 2, Core 3, DCI 4."""
-        return {
-            DeviceKind.HOST: 0,
-            DeviceKind.TOR: 1,
-            DeviceKind.AGG: 2,
-            DeviceKind.CORE: 3,
-            DeviceKind.DCI: 4,
-        }[self]
+    def __init__(self, value: str) -> None:
+        #: Switching tier: hosts are tier 0, ToR 1, Agg 2, Core 3, DCI 4.
+        #: A plain member attribute: topology builds read it per link.
+        self.tier = ("host", "tor", "agg", "core", "dci").index(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PortRef:
     """A (device, port index) endpoint of a link."""
 
@@ -64,7 +58,7 @@ class PortRef:
     port: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Gpu:
     """One GPU in a host; ``rail`` is its rank within the host (0..7)."""
 
@@ -73,7 +67,7 @@ class Gpu:
     rail: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Nic:
     """A dual-port NIC dedicated to one GPU rail (paper §2.1 host side)."""
 
@@ -88,7 +82,7 @@ class Nic:
         return self.ports * self.port_gbps
 
 
-@dataclass
+@dataclass(slots=True)
 class Device:
     """Base device record. Position attributes are None when inapplicable."""
 
@@ -106,7 +100,7 @@ class Device:
         return self.kind.tier
 
 
-@dataclass
+@dataclass(slots=True)
 class Host(Device):
     """A GPU server: 8 GPUs and 8 dual-port NICs by default."""
 
@@ -120,7 +114,7 @@ class Host(Device):
         raise TopologyError(f"host {self.name} has no NIC on rail {rail}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Switch(Device):
     """A switch with a total forwarding capacity (e.g. 51.2 Tbps ASICs)."""
 
@@ -128,13 +122,15 @@ class Switch(Device):
     radix: int = 128
 
 
-@dataclass
+@dataclass(slots=True)
 class Link:
     """A bidirectional link between two device ports.
 
     ``capacity_gbps`` is the per-direction capacity.  ``healthy`` supports
     the monitoring fault-injection campaigns (optical module damage, link
-    flap, miswiring all toggle or rewire links).
+    flap, miswiring all toggle or rewire links).  Only
+    :meth:`Topology.fail_link` and :meth:`Topology.restore_link` write
+    it, so the topology's health counters stay exact.
     """
 
     link_id: int
@@ -165,6 +161,14 @@ class Topology:
     device to its incident links.  Builders in this package (Astral, CLOS,
     HPN, rail-only) all emit this structure, so the fabric simulator and
     the monitoring system are architecture-agnostic.
+
+    Link health is indexed: :meth:`fail_link` and :meth:`restore_link`
+    are the only writers of ``Link.healthy``, and they keep a healthy
+    degree per device and total/healthy link counts per tier (a link's
+    tier is the higher of its endpoints' tiers).  Health telemetry
+    (:meth:`healthy_degree`, :meth:`tier_link_counts`) therefore reads
+    counters instead of rescanning the links; the counters always equal
+    a recount over :attr:`links`.
     """
 
     def __init__(self, name: str = "fabric"):
@@ -176,6 +180,9 @@ class Topology:
         #: bumped on any structural or health change; routers use this to
         #: invalidate their cached reachability state.
         self.version = 0
+        self._healthy_degree: Dict[str, int] = {}
+        #: tier -> [total links, healthy links].
+        self._tier_counts: Dict[int, List[int]] = {}
 
     # -- construction ----------------------------------------------------
     def add_device(self, device: Device) -> Device:
@@ -183,20 +190,34 @@ class Topology:
             raise TopologyError(f"duplicate device name: {device.name}")
         self.devices[device.name] = device
         self._adjacency[device.name] = []
+        self._healthy_degree[device.name] = 0
         self.version += 1
         return device
 
     def add_link(self, a: PortRef, b: PortRef, capacity_gbps: float) -> Link:
-        for ref in (a, b):
-            if ref.device not in self.devices:
-                raise TopologyError(f"unknown device in link: {ref.device}")
+        device_a = self.devices.get(a.device)
+        if device_a is None:
+            raise TopologyError(f"unknown device in link: {a.device}")
+        device_b = self.devices.get(b.device)
+        if device_b is None:
+            raise TopologyError(f"unknown device in link: {b.device}")
         if a.device == b.device:
             raise TopologyError(f"self-link on {a.device}")
-        link = Link(self._next_link_id, a, b, capacity_gbps)
-        self._next_link_id += 1
-        self.links[link.link_id] = link
-        self._adjacency[a.device].append(link.link_id)
-        self._adjacency[b.device].append(link.link_id)
+        link_id = self._next_link_id
+        self._next_link_id = link_id + 1
+        link = Link(link_id, a, b, capacity_gbps)
+        self.links[link_id] = link
+        self._adjacency[a.device].append(link_id)
+        self._adjacency[b.device].append(link_id)
+        self._healthy_degree[a.device] += 1
+        self._healthy_degree[b.device] += 1
+        tier = max(device_a.kind.tier, device_b.kind.tier)
+        counts = self._tier_counts.get(tier)
+        if counts is None:
+            self._tier_counts[tier] = [1, 1]
+        else:
+            counts[0] += 1
+            counts[1] += 1
         self.version += 1
         return link
 
@@ -236,14 +257,38 @@ class Topology:
             if link.other(a) == b
         ]
 
+    def healthy_degree(self, device: str) -> int:
+        """Healthy links incident to *device* (a host's live uplinks)."""
+        return self._healthy_degree[device]
+
+    def tier_link_counts(self) -> Dict[int, Tuple[int, int]]:
+        """``{tier: (links, healthy links)}`` in tier order."""
+        return {tier: (counts[0], counts[1])
+                for tier, counts in sorted(self._tier_counts.items())}
+
     # -- health / fault hooks ---------------------------------------------
     def fail_link(self, link_id: int) -> None:
-        self.links[link_id].healthy = False
+        """Take a link down; failing a failed link changes no count."""
+        link = self.links[link_id]
+        if link.healthy:
+            link.healthy = False
+            self._count_health(link, -1)
         self.version += 1
 
     def restore_link(self, link_id: int) -> None:
-        self.links[link_id].healthy = True
+        """Bring a link up; restoring a healthy link changes no count."""
+        link = self.links[link_id]
+        if not link.healthy:
+            link.healthy = True
+            self._count_health(link, +1)
         self.version += 1
+
+    def _count_health(self, link: Link, delta: int) -> None:
+        a, b = link.a.device, link.b.device
+        self._healthy_degree[a] += delta
+        self._healthy_degree[b] += delta
+        tier = max(self.devices[a].kind.tier, self.devices[b].kind.tier)
+        self._tier_counts[tier][1] += delta
 
     def fail_device(self, device: str) -> List[int]:
         """Fail every healthy link of *device* (a dead switch, host or

@@ -37,12 +37,15 @@ __all__ = ["App", "HttpError", "Request", "Response", "start_http_server"]
 #: refuse request bodies larger than this (the twin's payloads are
 #: small JSON documents; anything bigger is a client bug).
 MAX_BODY_BYTES = 8 * 1024 * 1024
+#: refuse requests with more header lines than this (431).
+MAX_HEADER_LINES = 100
 _LINE_LIMIT = 64 * 1024
 
 _STATUS_TEXT = {
     200: "OK", 201: "Created", 204: "No Content",
     400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
     409: "Conflict", 413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
 
@@ -180,6 +183,7 @@ class App:
                         writer,
                         Response({"error": exc.message}, status=exc.status),
                         keep_alive=False)
+                    await _linger(reader, writer)
                     break
                 if request is None:
                     break
@@ -207,9 +211,38 @@ class App:
                 pass
 
 
+async def _linger(reader: asyncio.StreamReader,
+                  writer: asyncio.StreamWriter) -> None:
+    """Half-close after an error response, then discard (boundedly)
+    what the client already sent: closing with unread input makes the
+    kernel reset the connection, which can destroy the response before
+    the client reads it."""
+    try:
+        if writer.can_write_eof():
+            writer.write_eof()
+        drained = 0
+        while drained <= MAX_BODY_BYTES:
+            chunk = await asyncio.wait_for(reader.read(_LINE_LIMIT), 1.0)
+            if not chunk:
+                break
+            drained += len(chunk)
+    except (asyncio.TimeoutError, ConnectionError, OSError):
+        pass
+
+
+async def _readline(reader: asyncio.StreamReader, status: int,
+                    what: str) -> bytes:
+    """One CRLF-terminated line; a line past the stream limit is an
+    :class:`HttpError` with *status*, not a dropped connection."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise HttpError(status, f"{what} exceeds {_LINE_LIMIT} bytes")
+
+
 async def _read_request(reader: asyncio.StreamReader
                         ) -> Optional[Request]:
-    line = await reader.readline()
+    line = await _readline(reader, 400, "request line")
     if not line or line in (b"\r\n", b"\n"):
         return None
     try:
@@ -217,15 +250,25 @@ async def _read_request(reader: asyncio.StreamReader
     except ValueError:
         raise HttpError(400, "malformed request line")
     headers: Dict[str, str] = {}
+    count = 0
     while True:
-        raw = await reader.readline()
+        raw = await _readline(reader, 431, "header line")
         if raw in (b"\r\n", b"\n", b""):
             break
         if len(raw) > _LINE_LIMIT:
-            raise HttpError(400, "header line too long")
+            raise HttpError(431, "header line too long")
+        count += 1
+        if count > MAX_HEADER_LINES:
+            raise HttpError(
+                431, f"more than {MAX_HEADER_LINES} header lines")
         name, _, value = raw.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    declared = headers.get("content-length", "") or "0"
+    if not (declared.isascii() and declared.isdigit()):
+        raise HttpError(
+            400, f"Content-Length must be a non-negative integer, got "
+                 f"{declared[:32]!r}")
+    length = int(declared)
     if length > MAX_BODY_BYTES:
         raise HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(length) if length else b""

@@ -78,13 +78,6 @@ class _ClusterStack:
                              jitter_frac=0.0),
             probe_interval_s=config.probe_interval_s,
             on_cordon=self._on_cordon)
-        # Per-tier link index, fixed at build time (faults toggle
-        # ``healthy``; they never remove links from the graph).
-        self._tier_links: Dict[int, List[int]] = {}
-        for link in self.topology.links.values():
-            tier = max(self.topology.devices[link.a.device].tier,
-                       self.topology.devices[link.b.device].tier)
-            self._tier_links.setdefault(tier, []).append(link.link_id)
         self.scheduler.start(until=config.horizon_s)
         self.pipeline.start()
 
@@ -121,21 +114,21 @@ class _ClusterStack:
     def collect(self, store: TelemetryStore) -> Dict[str, Any]:
         now = self.sim.now
         census = self.pingmesh.census()
+        uplinks = self._healthy_uplinks
         degraded = {host: count for host, count in census.items()
-                    if count < self._healthy_uplinks}
+                    if count < uplinks}
         tiers = {}
-        for tier in sorted(self._tier_links):
-            link_ids = self._tier_links[tier]
-            healthy = sum(
-                1 for lid in link_ids if self.topology.links[lid].healthy)
-            utilization = healthy / len(link_ids) if link_ids else 1.0
+        for tier, (links, healthy) in \
+                self.topology.tier_link_counts().items():
             tiers[f"tier{tier}"] = {
-                "links": len(link_ids), "healthy": healthy,
-                "healthy_frac": round(utilization, 9)}
+                "links": links, "healthy": healthy,
+                "healthy_frac": round(healthy / links, 9)}
+            # ``utilization`` stays 0: the scheduler places jobs but
+            # puts no flows on the session engine, so no tier carries
+            # traffic.
             store.add(SwitchCounterRecord(
                 time_s=now, device=f"tier{tier}", link_id=-tier,
-                drops=float(len(link_ids) - healthy),
-                utilization=round(utilization, 9)))
+                drops=float(links - healthy)))
         for host in sorted(degraded):
             store.add(SyslogRecord(
                 time_s=now, device=host, severity="warning",

@@ -274,6 +274,67 @@ class TestHttpServer:
             client.delete_session("telemetry")
 
 
+def _raw_exchange(port, head):
+    """Send raw request bytes; return ``(status, json body)`` of the one
+    complete response the server must write before closing."""
+    import socket
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(head)
+        sock.shutdown(socket.SHUT_WR)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    assert data, "connection dropped without a response"
+    head_text, _, body = data.partition(b"\r\n\r\n")
+    lines = head_text.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    assert len(body) == int(headers["Content-Length"])
+    return int(lines[0].split()[1]), json.loads(body)
+
+
+class TestHttpFrontDoor:
+    """Malformed requests get a 4xx response, never a dropped
+    connection, and the server keeps serving afterwards."""
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1e3", "\u00b2"])
+    def test_bad_content_length_is_400(self, harness, length):
+        status, body = _raw_exchange(harness.port, (
+            f"POST /sessions HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n{{}}").encode("latin-1"))
+        assert status == 400
+        assert "Content-Length" in body["error"]
+        assert harness.client().request("GET", "/healthz")["ok"] is True
+
+    def test_too_many_header_lines_is_431(self, harness):
+        from repro.twin.http import MAX_HEADER_LINES
+        headers = "".join(f"X-Filler-{i}: {i}\r\n"
+                          for i in range(MAX_HEADER_LINES + 1))
+        status, body = _raw_exchange(harness.port, (
+            f"GET /healthz HTTP/1.1\r\n{headers}\r\n").encode("latin-1"))
+        assert status == 431
+        assert str(MAX_HEADER_LINES) in body["error"]
+        assert harness.client().request("GET", "/healthz")["ok"] is True
+
+    def test_header_cap_admits_the_limit(self, harness):
+        from repro.twin.http import MAX_HEADER_LINES
+        headers = "".join(f"X-Filler-{i}: {i}\r\n"
+                          for i in range(MAX_HEADER_LINES - 1))
+        status, body = _raw_exchange(harness.port, (
+            f"GET /healthz HTTP/1.1\r\n{headers}"
+            f"Connection: close\r\n\r\n").encode("latin-1"))
+        assert status == 200
+        assert body["ok"] is True
+
+    def test_overlong_header_line_is_431(self, harness):
+        status, _ = _raw_exchange(harness.port, (
+            "GET /healthz HTTP/1.1\r\nX-Big: " + "a" * (128 * 1024)
+            + "\r\n\r\n").encode("latin-1"))
+        assert status == 431
+
+
 class TestShardedServer:
     def test_concurrent_sessions_are_isolated(self):
         with ServerHarness(workers=2) as server:
