@@ -10,22 +10,21 @@ same ruler (:class:`~repro.network.engine.SolverStats.link_visits`:
 hop registrations + capacity reads + per-link share evaluations), so
 the ratio is the incremental solver's measured saving.
 
-Since the vectorized solver core landed, every scenario can run under
-either backend (``repro.network.solver``): the pure-python reference
-or the numpy incidence kernel.  The backends are bit-identical, so the
-smoke point runs both and asserts ``==`` on the finish times; the
-slow points record each backend's wall clock separately.
+The two paths also run different max-min kernels
+(``repro.network.solver``): the engine solves with the numpy incidence
+kernel, the batch loop with the dict-shaped reference loop.  Their
+finish-time comparison is therefore a cross-kernel check as well as a
+cross-loop one.
 
 Results are merged into ``BENCH_fabric_engine.json`` at the repo root
 so the perf trajectory is recorded run over run.  The smoke-scale
 scenario runs in CI (``-m "not slow"``); the 256-host and 1024-host
-points are ``slow``.  Re-recording the pure-python 256-host point
-(the ~1 h historical baseline the vector speedup is measured against)
-additionally requires ``REPRO_BENCH_FULL=1``.
+points are ``slow``.  ``alltoall_256host_2rail`` in that file is the
+historical ~1 h run of the engine's former pure-python solve path; the
+256-host point divides its walls by the current ones.
 """
 
 import json
-import os
 import pathlib
 import time
 
@@ -36,7 +35,6 @@ from repro.network import Fabric, reset_flow_ids
 from repro.network.collectives import all_to_all_flows
 from repro.network.engine import FabricEngine, SolverStats
 from repro.network.flows import make_flow
-from repro.network.solver import HAVE_NUMPY, use_backend
 from repro.topology import AstralParams, build_astral
 
 BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent \
@@ -46,9 +44,6 @@ A2A_BITS = 64e9
 #: ~1M flows; 128 successors keeps the point recordable while still
 #: crossing blocks and pods on every host's flow set).
 A2A_WINDOW_1024 = 128
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="numpy not available")
 
 
 def _params_1024():
@@ -87,13 +82,11 @@ def _windowed_a2a_flows(allocation, rails, window):
     return flows
 
 
-def _measure(n_hosts, rails, solver="python", params=None,
-             flows_fn=None, run_batch=True):
-    """Run the workload through both solve paths under one backend.
+def _measure(n_hosts, rails, params=None, flows_fn=None,
+             run_batch=True):
+    """Run the workload through the batch loop and the engine.
 
-    Returns ``(result, engine_finish)`` — the JSON-ready scenario
-    record plus the engine's raw finish-time dict, so callers can
-    assert exact cross-backend identity.  With ``run_batch=False``
+    Returns the JSON-ready scenario record.  With ``run_batch=False``
     only the event-driven engine runs (the huge points, where the
     epoch-global baseline is prohibitive).
     """
@@ -103,35 +96,34 @@ def _measure(n_hosts, rails, solver="python", params=None,
     flows_fn = flows_fn or _a2a_flows
 
     result = {"hosts": n_hosts, "rails": len(rails),
-              "size_bits": A2A_BITS, "solver": solver}
-    with use_backend(solver):
-        batch_run = None
-        if run_batch:
-            reset_flow_ids()
-            fabric = Fabric(topology)
-            flows = flows_fn(allocation, rails)
-            batch_stats = SolverStats()
-            t0 = time.perf_counter()
-            batch_run = fabric.complete_batch(flows, stats=batch_stats)
-            batch_wall = time.perf_counter() - t0
-            result["batch"] = {
-                "epochs": batch_stats.solves,
-                "solver_calls": batch_stats.solves,
-                "link_visits": batch_stats.link_visits,
-                "wall_s": round(batch_wall, 3),
-            }
-            result["hops_cache_hits"] = fabric.hops_cache_hits
-            result["hops_cache_misses"] = fabric.hops_cache_misses
-
+              "size_bits": A2A_BITS}
+    batch_run = None
+    if run_batch:
         reset_flow_ids()
         fabric = Fabric(topology)
         flows = flows_fn(allocation, rails)
+        batch_stats = SolverStats()
         t0 = time.perf_counter()
-        engine = FabricEngine(fabric)
-        for flow in flows:
-            engine.submit(flow, start_time_s=0.0)
-        engine_run = engine.run()
-        engine_wall = time.perf_counter() - t0
+        batch_run = fabric.complete_batch(flows, stats=batch_stats)
+        batch_wall = time.perf_counter() - t0
+        result["batch"] = {
+            "epochs": batch_stats.solves,
+            "solver_calls": batch_stats.solves,
+            "link_visits": batch_stats.link_visits,
+            "wall_s": round(batch_wall, 3),
+        }
+        result["hops_cache_hits"] = fabric.hops_cache_hits
+        result["hops_cache_misses"] = fabric.hops_cache_misses
+
+    reset_flow_ids()
+    fabric = Fabric(topology)
+    flows = flows_fn(allocation, rails)
+    t0 = time.perf_counter()
+    engine = FabricEngine(fabric)
+    for flow in flows:
+        engine.submit(flow, start_time_s=0.0)
+    engine_run = engine.run()
+    engine_wall = time.perf_counter() - t0
 
     result["flows"] = len(flows)
     result["engine"] = {
@@ -148,7 +140,7 @@ def _measure(n_hosts, rails, solver="python", params=None,
         result["link_visit_ratio"] = round(
             result["batch"]["link_visits"]
             / max(result["engine"]["link_visits"], 1), 2)
-    return result, dict(engine_run.finish_times_s)
+    return result
 
 
 def _record(key, result):
@@ -199,19 +191,17 @@ def test_engine_vs_batch_smoke(benchmark, series_printer):
     The two rail planes are link-disjoint, so their completion events
     interleave and the engine re-solves one plane at a time while the
     baseline re-solves both every epoch — the component restriction
-    plus one-time hop registration is the measured ≥2× saving.  When
-    numpy is present the same scenario re-runs under the vector
-    backend and every finish time must compare ``==`` (bit-identical
-    backends), with batch ``link_visits`` identical under the shared
-    ruler.
+    plus one-time hop registration is the measured ≥2× saving.  The
+    engine runs the production kernel and the batch loop the reference
+    loop, so the finish-time bound is a cross-kernel check too.
     """
-    result, finish_py = benchmark.pedantic(
+    result = benchmark.pedantic(
         _measure, args=(64, (0, 1)), rounds=1, iterations=1)
     _record("alltoall_64host_2rail", result)
     series_printer(
         "Fabric engine vs epoch-global baseline (64 hosts, 2 rails)",
         _series(result), ["metric", "value"])
-    # Same fluid model, same finish times.
+    # Same fluid model, two kernels, same finish times.
     assert result["max_finish_diff_s"] < 1e-9
     # The incremental solver does measurably less per-link work.
     assert result["link_visit_ratio"] >= 2.0
@@ -219,60 +209,17 @@ def test_engine_vs_batch_smoke(benchmark, series_printer):
     # and re-used across every subsequent epoch.
     assert result["hops_cache_hits"] > 10 * result["hops_cache_misses"]
 
-    if HAVE_NUMPY:
-        vec_result, finish_vec = _measure(64, (0, 1), solver="vector")
-        _record("alltoall_64host_2rail_vector", vec_result)
-        series_printer(
-            "Vector backend, same scenario (64 hosts, 2 rails)",
-            _series(vec_result), ["metric", "value"])
-        # Bit-identity across backends: exact dict equality.  The
-        # batch path counts work visit-for-visit identically; the
-        # engine paths differ structurally — python merges all dirty
-        # components into one progressive fill (scanning every
-        # component's links each iteration) while the vector path
-        # solves per component — so vector never scans more, and the
-        # two stay within a quarter of each other.
-        assert finish_vec == finish_py
-        assert vec_result["batch"]["link_visits"] \
-            == result["batch"]["link_visits"]
-        py_visits = result["engine"]["link_visits"]
-        vec_visits = vec_result["engine"]["link_visits"]
-        assert vec_visits <= py_visits
-        assert vec_visits >= 0.75 * py_visits
-        assert vec_result["max_finish_diff_s"] < 1e-9
-
 
 @pytest.mark.slow
-def test_engine_vs_batch_256host(benchmark, series_printer):
-    """Paper-scale point, pure-python backend: 256-host dual-rail
-    all-to-all (130,560 flows).  This is the ~1 h historical baseline
-    the vector speedup is measured against, so re-recording it is
-    additionally gated behind ``REPRO_BENCH_FULL=1``."""
-    if not os.environ.get("REPRO_BENCH_FULL"):
-        pytest.skip("set REPRO_BENCH_FULL=1 to re-record the ~1 h "
-                    "pure-python 256-host baseline")
-    result, _ = benchmark.pedantic(
-        _measure, args=(256, (0, 1)), rounds=1, iterations=1)
-    _record("alltoall_256host_2rail", result)
-    series_printer(
-        "Fabric engine vs epoch-global baseline (256 hosts, 2 rails)",
-        _series(result), ["metric", "value"])
-    assert result["max_finish_diff_s"] < 1e-9
-    assert result["link_visit_ratio"] >= 2.0
-
-
-@pytest.mark.slow
-@needs_numpy
 def test_engine_vs_batch_256host_vector(benchmark, series_printer):
-    """Paper-scale point under the vector backend.
+    """Paper-scale point: 256-host dual-rail all-to-all (130,560
+    flows).
 
-    Same 130,560-flow scenario as ``alltoall_256host_2rail``; the
-    recorded speedups divide the historical pure-python walls by this
-    run's.  The kernel is required to clear ≥10× on the engine path —
-    the head-line win of the vectorization PR."""
-    result, _ = benchmark.pedantic(
-        _measure, args=(256, (0, 1)), kwargs={"solver": "vector"},
-        rounds=1, iterations=1)
+    Same scenario as the historical ``alltoall_256host_2rail`` record;
+    the recorded speedups divide its pure-python walls by this run's.
+    The engine is required to clear ≥10× over that record."""
+    result = benchmark.pedantic(
+        _measure, args=(256, (0, 1)), rounds=1, iterations=1)
     python_point = _historical("alltoall_256host_2rail")
     if python_point:
         result["engine_speedup_vs_python"] = round(
@@ -283,7 +230,7 @@ def test_engine_vs_batch_256host_vector(benchmark, series_printer):
             / result["batch"]["wall_s"], 2)
     _record("alltoall_256host_2rail_vector", result)
     series_printer(
-        "Vector solver backend (256 hosts, 2 rails)",
+        "Fabric engine vs epoch-global baseline (256 hosts, 2 rails)",
         _series(result), ["metric", "value"])
     assert result["max_finish_diff_s"] < 1e-9
     assert result["link_visit_ratio"] >= 2.0
@@ -292,20 +239,19 @@ def test_engine_vs_batch_256host_vector(benchmark, series_printer):
 
 
 @pytest.mark.slow
-@needs_numpy
 def test_engine_1024host_vector(benchmark, series_printer):
-    """1024-host single-rail windowed all-to-all, vector engine only.
+    """1024-host single-rail windowed all-to-all, engine only.
 
-    The scale point the vectorization unlocks: four times the hosts of
+    The scale point the vector kernel unlocks: four times the hosts of
     the paper-scale scenario on a 4-pod fabric.  Full fan-out at this
     size would be ~1M flows, so each host exchanges with its 128
     successors (131,072 flows — the same order as the 256-host full
     all-to-all, but routed across a 4× larger link universe).  The
     epoch-global baseline is prohibitive here; only the event-driven
     engine runs."""
-    result, _ = benchmark.pedantic(
+    result = benchmark.pedantic(
         _measure, args=(1024, (0,)),
-        kwargs={"solver": "vector", "params": _params_1024(),
+        kwargs={"params": _params_1024(),
                 "flows_fn": lambda alloc, rails: _windowed_a2a_flows(
                     alloc, rails, A2A_WINDOW_1024),
                 "run_batch": False},
@@ -313,7 +259,7 @@ def test_engine_1024host_vector(benchmark, series_printer):
     result["window"] = A2A_WINDOW_1024
     _record("a2a_w128_1024host_1rail_vector", result)
     series_printer(
-        "Vector engine, 1024 hosts (window-128 all-to-all, 1 rail)",
+        "Fabric engine, 1024 hosts (window-128 all-to-all, 1 rail)",
         _series(result), ["metric", "value"])
     assert result["flows"] == 1024 * A2A_WINDOW_1024
     assert result["engine"]["solves"] > 0

@@ -89,15 +89,6 @@ def _resolve_model(name: str):
             f"{', '.join(sorted(_MODELS))}")
 
 
-def _add_solver_arg(parser) -> None:
-    parser.add_argument(
-        "--solver", default=None,
-        choices=("auto", "python", "vector"),
-        help="max-min solver backend (auto picks the vectorized "
-             "kernel when numpy is available; backends are "
-             "bit-identical, this only changes wall clock)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -190,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--contention", action="store_true",
                          help="co-run the peak tenant set on the "
                               "fabric and report interference")
-    _add_solver_arg(cluster)
     cluster.add_argument("--rows", type=int, default=20,
                          help="job rows to print in the report")
 
@@ -209,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="injection time of the first fault (s)")
     resilience.add_argument("--checkpoint-interval", type=float,
                             default=3600.0)
-    _add_solver_arg(resilience)
     resilience.add_argument("--json", action="store_true",
                             help="emit the full report as JSON")
 
@@ -241,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--cache-dir", metavar="PATH", default=None,
                           help="serve unchanged cases from the farm's "
                                "content-addressed result cache at PATH")
-    _add_solver_arg(validate)
 
     farm = sub.add_parser(
         "farm",
@@ -311,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--cache-dir", metavar="PATH", default=None,
                        help="serve unchanged runs from the farm's "
                             "content-addressed result cache at PATH")
-    _add_solver_arg(scale)
     scale.add_argument("--json", metavar="PATH", default=None,
                        help="write the full report to PATH")
 
@@ -347,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-dir", metavar="PATH", default=None,
                        help="serve unchanged runs from the farm's "
                             "content-addressed result cache at PATH")
-    _add_solver_arg(serve)
     serve.add_argument("--json", metavar="PATH", default=None,
                        help="write the full report to PATH")
 
@@ -541,8 +527,6 @@ def _cmd_diagnose_demo(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    from dataclasses import replace
-
     from repro.core import AstralInfrastructure
     from repro.topology import AstralParams
     params = {
@@ -550,8 +534,6 @@ def _cmd_cluster(args) -> int:
         "small": AstralParams.small,
         "cluster": AstralParams.cluster,
     }[args.scale]()
-    if args.solver is not None:
-        params = replace(params, solver=args.solver)
     infra = AstralInfrastructure(params=params, seed=args.seed)
     report = infra.run_cluster(
         jobs=args.jobs, policy=args.policy, seed=args.seed,
@@ -579,9 +561,6 @@ def _cmd_resilience(args) -> int:
         "small": AstralParams.small,
         "cluster": AstralParams.cluster,
     }[args.scale]()
-    if args.solver is not None:
-        from dataclasses import replace
-        params = replace(params, solver=args.solver)
     faults = default_tor_faults(params, seed=args.seed,
                                 n_faults=args.faults,
                                 first_at_s=args.fault_at)
@@ -657,8 +636,7 @@ def _cmd_validate(args) -> int:
                           fast=args.fast, progress=_progress,
                           workers=args.workers,
                           use_cache=args.cache_dir is not None,
-                          cache_dir=args.cache_dir,
-                          solver=args.solver)
+                          cache_dir=args.cache_dir)
     wall_s = time.perf_counter() - started
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -768,12 +746,6 @@ def _cmd_scale(args) -> int:
                 f"--faults file {args.faults!r} is not valid JSON: "
                 f"{exc}")
         task_params["fault_document"] = fault_document
-    if args.solver is not None:
-        # Resolve to a concrete backend name so the farm's content
-        # hash never mixes "auto" runs across machines with and
-        # without numpy.
-        from repro.network.solver import resolve_backend
-        task_params["solver"] = resolve_backend(args.solver)
     if args.pods is not None:
         task_params["dims"] = {
             "pods": args.pods,
@@ -900,12 +872,6 @@ def _cmd_serve(args) -> int:
         train_jobs=args.train_jobs,
         slo_ttft_s=args.slo_ttft)
     task_params = {"scenario": scenario.to_params()}
-    if args.solver is not None:
-        # Resolve to a concrete backend name so the farm's content
-        # hash never mixes "auto" runs across machines with and
-        # without numpy (same discipline as `repro scale`).
-        from repro.network.solver import resolve_backend
-        task_params["solver"] = resolve_backend(args.solver)
     spec = TaskSpec("serving-run", task_params, label="cli")
     started = time.perf_counter()
     if args.workers > 1 or args.cache_dir is not None:

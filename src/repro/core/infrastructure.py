@@ -72,8 +72,7 @@ class AstralInfrastructure:
         self.topology = build_astral(self.params)
         self.fabric = Fabric(
             self.topology,
-            host_line_rate_gbps=self.params.nic_port_gbps,
-            solver=self.params.solver)
+            host_line_rate_gbps=self.params.nic_port_gbps)
         self.allocator = GpuAllocator(self.topology)
         self.network_suite = NetworkSuite(
             intra_host_size=self.params.gpus_per_host,

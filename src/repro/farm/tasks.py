@@ -69,15 +69,16 @@ def _params_for_scale(scale: str):
 # version 5: the oracle profile cycle grew from 7 to 8 entries
 # ("serving" joined), remapping every case index again — see the
 # version-2 note.
-@register_task("validation-case", version=5,
+# version 6: the solver-backends differential was replaced by the
+# kernel-reference differential, so every case's check list changed,
+# and the params no longer carry a backend name.
+@register_task("validation-case", version=6,
                description="one repro.validation fuzz case")
 def run_validation_case(params: Dict[str, Any]) -> Dict[str, Any]:
-    """Params: ``seed``, ``index``, optional ``fast`` (default True),
-    optional ``solver`` (resolved max-min backend name)."""
+    """Params: ``seed``, ``index``, optional ``fast`` (default True)."""
     from ..validation.runner import run_case
     report = run_case(int(params["seed"]), int(params["index"]),
-                      fast=bool(params.get("fast", True)),
-                      solver=params.get("solver"))
+                      fast=bool(params.get("fast", True)))
     return report.to_dict()
 
 
@@ -95,9 +96,8 @@ def run_resilience_campaign(params: Dict[str, Any]) -> Dict[str, Any]:
 
     ``seed``, ``scale``, ``jobs``, ``hosts_per_job``, ``iterations``,
     ``faults``, ``fault_at_s``, ``checkpoint_interval_s``,
-    ``compute_s``, ``collective_bits``, optional ``solver``.
+    ``compute_s``, ``collective_bits``.
     """
-    from ..network.solver import use_backend
     from ..resilience.campaign import (ResilienceCampaign,
                                        default_tor_faults)
     scale = params.get("scale", "small")
@@ -117,8 +117,7 @@ def run_resilience_campaign(params: Dict[str, Any]) -> Dict[str, Any]:
         checkpoint_interval_s=float(
             params.get("checkpoint_interval_s", 3600.0)),
         seed=seed)
-    with use_backend(params.get("solver")):
-        return campaign.run().to_dict()
+    return campaign.run().to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -166,31 +165,28 @@ def run_monitoring_campaign(params: Dict[str, Any]) -> Dict[str, Any]:
                description="one scheduler run over a seeded job trace")
 def run_cluster_sweep(params: Dict[str, Any]) -> Dict[str, Any]:
     """Params mirror ``repro cluster``: ``seed``, ``scale``, ``jobs``,
-    ``policy``, ``failure_scale``, ``tidal``, ``contention``, optional
-    ``solver``."""
+    ``policy``, ``failure_scale``, ``tidal``, ``contention``."""
     from ..core import AstralInfrastructure
-    from ..network.solver import use_backend
     scale = params.get("scale", "small")
     seed = int(params.get("seed", 0))
     infra = AstralInfrastructure(params=_params_for_scale(scale),
                                  seed=seed)
-    with use_backend(params.get("solver")):
-        report = infra.run_cluster(
-            jobs=int(params.get("jobs", 20)),
-            policy=params.get("policy", "topology"),
-            seed=seed,
-            failure_scale=float(params.get("failure_scale", 1.0)),
-            tidal_cap=bool(params.get("tidal", True)))
-        result = report.to_dict()
-        if params.get("contention", False):
-            outcomes = infra.cluster_contention(report)
-            result["contention"] = {
-                name: {
-                    "efficiency": outcomes[name].efficiency,
-                    "mean_iteration_s": outcomes[name].mean_iteration_s,
-                }
-                for name in sorted(outcomes)
+    report = infra.run_cluster(
+        jobs=int(params.get("jobs", 20)),
+        policy=params.get("policy", "topology"),
+        seed=seed,
+        failure_scale=float(params.get("failure_scale", 1.0)),
+        tidal_cap=bool(params.get("tidal", True)))
+    result = report.to_dict()
+    if params.get("contention", False):
+        outcomes = infra.cluster_contention(report)
+        result["contention"] = {
+            name: {
+                "efficiency": outcomes[name].efficiency,
+                "mean_iteration_s": outcomes[name].mean_iteration_s,
             }
+            for name in sorted(outcomes)
+        }
     return result
 
 
@@ -325,8 +321,7 @@ def run_hierarchy(params: Dict[str, Any]) -> Dict[str, Any]:
     ``{"domains": [...], "faults": [...]}`` object — see
     ``repro.resilience.faults_from_document``), ``refine``
     (``bounded``/``pod``), ``power_caps`` (pod index -> compute
-    factor; keys are strings because specs are JSON), optional
-    ``solver`` (resolved max-min backend name).
+    factor; keys are strings because specs are JSON).
     """
     from ..hierarchy import HierarchicalRun, preset_params, uniform_jobs
     from ..hierarchy.virtual import place_jobs
@@ -363,12 +358,10 @@ def run_hierarchy(params: Dict[str, Any]) -> Dict[str, Any]:
                                            params["fault_document"]))
     caps = {int(pod): float(factor)
             for pod, factor in (params.get("power_caps") or {}).items()}
-    from ..network.solver import use_backend
     run = HierarchicalRun(topo, jobs, faults=faults or None,
                           pod_power_caps=caps or None,
                           refine=params.get("refine", "bounded"))
-    with use_backend(params.get("solver")):
-        run.run()
+    run.run()
     return run.report.to_dict()
 
 
@@ -380,18 +373,10 @@ def run_hierarchy(params: Dict[str, Any]) -> Dict[str, Any]:
                description="diurnal serving scenario co-scheduled with "
                            "training")
 def run_serving(params: Dict[str, Any]) -> Dict[str, Any]:
-    """Params: ``scenario`` (a ``ServingScenario.to_params()`` dict)
-    plus optional ``solver`` (resolved max-min backend name).  The
-    backend is folded into the content hash so cached results never
-    cross backends — even though the backends are bit-identical, the
-    differential oracles depend on which one actually ran.
-    """
-    from ..network.solver import use_backend
+    """Params: ``scenario`` (a ``ServingScenario.to_params()`` dict)."""
     from ..serving import ServingRun, ServingScenario
     scenario = ServingScenario.from_params(dict(params["scenario"]))
-    with use_backend(params.get("solver")):
-        return ServingRun(scenario,
-                          solver=params.get("solver")).run().to_dict()
+    return ServingRun(scenario).run().to_dict()
 
 
 # ---------------------------------------------------------------------------

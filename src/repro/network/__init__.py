@@ -29,18 +29,8 @@ from .engine import FabricEngine, SolverStats
 from .fabric import Fabric, FabricRun, LinkLoad
 from .flows import Flow, FlowPath, make_flow, reset_flow_ids
 from .routing import EcmpRouter, RoutingError
-from .solver import (
-    BACKENDS,
-    HAVE_NUMPY,
-    available_backends,
-    default_backend,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
 
 __all__ = [
-    "BACKENDS",
     "BottleneckResult",
     "BottleneckSim",
     "CollectiveConfig",
@@ -59,7 +49,6 @@ __all__ = [
     "FiveTuple",
     "Flow",
     "FlowPath",
-    "HAVE_NUMPY",
     "LinkCongestion",
     "LinkLoad",
     "ReassignmentReport",
@@ -68,20 +57,15 @@ __all__ = [
     "TimedCollectiveResult",
     "all_gather_flows",
     "all_to_all_flows",
-    "available_backends",
     "collective_schedule",
     "crc16",
-    "default_backend",
     "make_flow",
     "reduce_scatter_flows",
     "reset_flow_ids",
-    "resolve_backend",
     "ring_allreduce_flows",
     "run_collective",
     "run_collective_timed",
     "send_recv_chain",
     "send_recv_flows",
-    "set_default_backend",
     "topology_ordered",
-    "use_backend",
 ]

@@ -20,7 +20,7 @@ from ..simcore import SimulationError
 from ..topology.elements import Topology
 from .flows import Flow, FlowPath
 from .routing import EcmpRouter
-from .solver import fill_rates_python, resolve_backend, solve_incidence_vector
+from .solver import fill_rates_python
 
 __all__ = ["DONE_BITS", "Fabric", "FabricRun", "LinkDir", "LinkLoad"]
 
@@ -77,16 +77,11 @@ class Fabric:
 
     def __init__(self, topology: Topology,
                  router: Optional[EcmpRouter] = None,
-                 host_line_rate_gbps: float = 200.0,
-                 solver: Optional[str] = None):
+                 host_line_rate_gbps: float = 200.0):
         self.topology = topology
         self.router = router or EcmpRouter(topology)
         #: per-port NIC line rate; flows never exceed this at the source.
         self.host_line_rate_gbps = host_line_rate_gbps
-        #: max-min solver backend: "python", "vector", "auto", or None
-        #: to follow the process default at each solve (so a scoped
-        #: ``use_backend`` override applies to already-built fabrics).
-        self.solver = solver
         #: directed-hop memo per flow id: (topology version, link ids,
         #: hops).  Invalidated when the topology is rewired or the flow
         #: is re-hashed onto a different path.
@@ -134,12 +129,14 @@ class Fabric:
 
         Progressive filling: repeatedly find the tightest link (smallest
         fair share for its unfrozen flows), freeze its flows at that
-        share, remove the consumed capacity, and continue.  The loop
-        itself lives in :mod:`repro.network.solver`; this adapter
-        builds the dict-shaped problem and dispatches to the backend
-        selected by ``self.solver`` (both backends return bit-identical
-        rates).  ``capacity_factors`` scales individual directed links
-        (e.g. PFC backpressure shrinking a hop's effective capacity).
+        share, remove the consumed capacity, and continue.  This
+        adapter builds the dict-shaped problem for the reference loop,
+        :func:`~repro.network.solver.fill_rates_python`, so it and its
+        callers (``complete_batch``, the validation oracles) are
+        independent of the engine's production kernel, which must
+        return bit-identical rates.  ``capacity_factors`` scales
+        individual directed links (e.g. PFC backpressure shrinking a
+        hop's effective capacity).
         *stats*, a :class:`~repro.network.solver.SolverStats`, counts
         the per-link work for comparison against the incremental
         engine.
@@ -173,14 +170,8 @@ class Fabric:
             stats.link_visits += len(remaining)
 
         # Source line-rate cap is modelled as a virtual per-flow link.
-        line_rate = self.host_line_rate_gbps
-        backend = resolve_backend(self.solver)
-        if backend == "vector":
-            rates = solve_incidence_vector(
-                hops_of, remaining, line_rate, stats)
-        else:
-            rates = fill_rates_python(
-                remaining, members, hops_of, line_rate, stats)
+        rates = fill_rates_python(remaining, members, hops_of,
+                                  self.host_line_rate_gbps, stats)
 
         for fid, rate in rates.items():
             flow_by_id[fid].rate_gbps = rate

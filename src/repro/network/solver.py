@@ -1,21 +1,25 @@
-"""Max-min fair-share solver core: one kernel, two backends.
+"""Max-min fair-share solver core: one production kernel, one reference.
 
-This module owns the progressive-filling loop that used to exist twice
-— nearly copy-pasted — in :meth:`Fabric.max_min_rates` and
-:meth:`FabricEngine._solve`.  Both call sites are now thin adapters
-over the two interchangeable backends defined here:
+Progressive filling exists here twice, on purpose, and only one copy
+runs in production:
 
-* ``python`` — the reference implementation, a dict-shaped loop that is
-  byte-for-byte the historical algorithm;
-* ``vector`` — a numpy kernel over a flow×link CSR-style incidence
-  representation (row = flow, column = directed link), with vectorized
-  share computation, batched bottleneck-group freezing via boolean
-  masks, and scatter-subtract of frozen rates.
+* :func:`progressive_fill_vector` — the kernel every
+  :class:`~repro.network.engine.FabricEngine` component solve calls.
+  It works over a flow×link CSR-style incidence representation (row =
+  flow, column = directed link), with vectorized share computation,
+  batched bottleneck-group freezing via boolean masks, and
+  scatter-subtract of frozen rates.
+* :func:`fill_rates_python` — the reference: a dict-shaped loop that is
+  byte-for-byte the historical algorithm.  Only checking code calls it:
+  :meth:`Fabric.max_min_rates` (and through it ``complete_batch`` and
+  the validation oracles), the ``kernel-reference`` differential
+  (:func:`repro.validation.differential.check_kernel_reference`), and
+  the property tests.
 
-**Bit-identity contract.**  The two backends return *identical floats*,
-not merely close ones, because the solve is scan-order independent and
-the vector kernel performs exactly the element-wise operations of the
-reference:
+**Bit-identity contract.**  The kernel returns *identical floats* to
+the reference, not merely close ones, because the solve is scan-order
+independent and the kernel performs exactly the element-wise
+operations of the reference:
 
 * the bottleneck share is a pure ``min`` over per-link divisions
   ``remaining / count`` — comparison only, no rounding, so any scan
@@ -30,18 +34,19 @@ reference:
   reference's repeated per-flow subtractions bit-for-bit.  A
   reassociated update (``remaining -= k * share``) would not.
 
-The validation harness pins this contract on every fuzz profile
-(``repro.validation.differential.check_solver_backends``), on top of
-the engine-vs-batch and flat-vs-folded ``==`` differentials that both
-backends must keep exact.
+The validation harness pins this contract on every component solve of
+every fuzz profile (``check_kernel_reference`` re-solves each call with
+the reference), on top of the engine-vs-batch differential — which
+compares the two kernels as well as the two fluid loops — and the
+flat-vs-folded ``==`` differentials.
 
 **Work accounting.**  :class:`SolverStats.link_visits` counts with one
-ruler across paths and backends:
+ruler across the engine and the batch loop:
 
 * +1 per (flow, hop) membership materialized into solver structures —
   the batch path rebuilds them every solve, the engine registers them
-  once per flow arrival/reroute (and re-materializes per component
-  compile under the vector backend);
+  once per flow arrival/reroute and re-materializes them per component
+  compile;
 * +1 per link capacity loaded into a solve's ``remaining`` vector;
 * +1 per live link per progressive-filling iteration.
 
@@ -52,14 +57,11 @@ counted at materialization).
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
     Hashable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -67,36 +69,16 @@ from typing import (
     Tuple,
 )
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+import numpy as _np
 
 __all__ = [
-    "BACKENDS",
-    "HAVE_NUMPY",
     "CompiledIncidence",
     "IncidenceIndex",
     "SolverStats",
-    "available_backends",
     "compile_component",
-    "default_backend",
     "fill_rates_python",
     "progressive_fill_vector",
-    "resolve_backend",
-    "set_default_backend",
-    "solve_incidence_vector",
-    "use_backend",
 ]
-
-HAVE_NUMPY = _np is not None
-
-#: The selectable backends.  "auto" is accepted wherever a backend name
-#: is, and resolves to vector-when-numpy-is-available.
-BACKENDS = ("python", "vector")
-
-#: Environment override for the process-wide default backend.
-ENV_VAR = "REPRO_SOLVER"
 
 #: A directed link traversal; opaque to the solver (any hashable).
 Hop = Hashable
@@ -109,9 +91,9 @@ class SolverStats:
     ``link_visits`` counts every per-link unit of solver work — a
     (flow, hop) membership materialization, a capacity load, or one
     fair-share evaluation inside the progressive-filling loop.  The
-    epoch-global batch path and the incremental engine count with the
-    same ruler (see the module docstring), so their totals are
-    directly comparable.
+    epoch-global batch path (the reference loop) and the incremental
+    engine (the production kernel) count with the same ruler (see the
+    module docstring), so their totals are directly comparable.
     """
 
     events: int = 0
@@ -131,85 +113,7 @@ class SolverStats:
 
 
 # --------------------------------------------------------------------------
-# Backend selection
-# --------------------------------------------------------------------------
-
-_default_override: Optional[str] = None
-
-
-class SolverUnavailable(RuntimeError):
-    """Requested a backend whose dependencies are missing."""
-
-
-def available_backends() -> Tuple[str, ...]:
-    return BACKENDS if HAVE_NUMPY else ("python",)
-
-
-def _validate(name: str) -> str:
-    if name == "auto":
-        return "vector" if HAVE_NUMPY else "python"
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown solver backend {name!r}; expected one of "
-            f"{('auto',) + BACKENDS}")
-    if name == "vector" and not HAVE_NUMPY:
-        raise SolverUnavailable(
-            "solver backend 'vector' requires numpy, which is not "
-            "importable in this environment")
-    return name
-
-
-def default_backend() -> str:
-    """The process-wide default backend.
-
-    Priority: :func:`set_default_backend` override, then the
-    ``REPRO_SOLVER`` environment variable, then ``vector`` when numpy
-    is importable (the hot path should be fast by default), else
-    ``python``.
-    """
-    if _default_override is not None:
-        return _default_override
-    env = os.environ.get(ENV_VAR)
-    if env:
-        return _validate(env)
-    return "vector" if HAVE_NUMPY else "python"
-
-
-def set_default_backend(name: Optional[str]) -> None:
-    """Set (or, with ``None``, reset) the process-wide default."""
-    global _default_override
-    _default_override = _validate(name) if name is not None else None
-
-
-def resolve_backend(name: Optional[str]) -> str:
-    """Resolve an explicit/``"auto"``/``None`` request to a backend."""
-    if name is None:
-        return default_backend()
-    return _validate(name)
-
-
-@contextmanager
-def use_backend(name: Optional[str]) -> Iterator[None]:
-    """Scoped default backend (no-op when *name* is ``None``).
-
-    This is how the CLI / farm runners thread ``--solver`` down to
-    every :class:`~repro.network.fabric.Fabric` a scenario constructs
-    without widening each constructor call.
-    """
-    if name is None:
-        yield
-        return
-    global _default_override
-    previous = _default_override
-    _default_override = _validate(name)
-    try:
-        yield
-    finally:
-        _default_override = previous
-
-
-# --------------------------------------------------------------------------
-# Python reference backend
+# Reference loop (checking only)
 # --------------------------------------------------------------------------
 
 def fill_rates_python(remaining: Dict[Hop, float],
@@ -281,7 +185,7 @@ def fill_rates_python(remaining: Dict[Hop, float],
 
 
 # --------------------------------------------------------------------------
-# Vector backend: incidence representation
+# Production kernel: incidence representation
 # --------------------------------------------------------------------------
 
 def _concat_ranges(starts, lens):
@@ -455,38 +359,6 @@ def progressive_fill_vector(inc: CompiledIncidence, remaining,
         np_.subtract.at(remaining, cols, min_share)
         np_.subtract.at(counts, cols, 1)
     return rates
-
-
-def solve_incidence_vector(hops_of: Mapping[int, Sequence[Hop]],
-                           remaining: Mapping[Hop, float],
-                           line_rate: float,
-                           stats: Optional[SolverStats] = None
-                           ) -> Dict[int, float]:
-    """One-shot vector solve from dict-shaped inputs (batch adapter).
-
-    *remaining* defines the link universe and initial capacities (its
-    insertion order becomes the column order); *hops_of* the flows.
-    The input dict is not consumed.  Returns the rate per flow id,
-    bit-identical to :func:`fill_rates_python` on the same problem.
-    """
-    np_ = _np
-    col_of: Dict[Hop, int] = {}
-    for hop in remaining:
-        col_of[hop] = len(col_of)
-    fids = []
-    mem_cols: List[int] = []
-    indptr = [0]
-    for fid, hops in hops_of.items():
-        fids.append(fid)
-        for hop in hops:
-            mem_cols.append(col_of[hop])
-        indptr.append(len(mem_cols))
-    inc = CompiledIncidence(fids, indptr, mem_cols, len(col_of))
-    capacity = np_.fromiter(remaining.values(), dtype=np_.float64,
-                            count=len(col_of))
-    rates = progressive_fill_vector(inc, capacity, line_rate, stats)
-    out = rates.tolist()
-    return {fid: out[row] for row, fid in enumerate(fids)}
 
 
 # --------------------------------------------------------------------------

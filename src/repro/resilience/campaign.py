@@ -439,7 +439,7 @@ class ResilienceCampaign:
     def _run_once(self, inject: bool) -> Dict[str, object]:
         reset_flow_ids()
         topology = build_astral(self.params)
-        fabric = Fabric(topology, solver=self.params.solver)
+        fabric = Fabric(topology)
         engine = FabricEngine(fabric)
         allocator = GpuAllocator(topology)
         jobs = self._make_jobs(engine, allocator)

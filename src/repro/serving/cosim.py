@@ -88,13 +88,11 @@ class KvCosim:
 
     def __init__(self, placement: SlicePlacement,
                  config: Optional[CosimConfig] = None,
-                 kv_starts_s: Sequence[float] = (),
-                 solver: Optional[str] = None):
+                 kv_starts_s: Sequence[float] = ()):
         self.placement = placement
         self.config = config or CosimConfig()
         self.kv_starts_s = self._rebase(
             sorted(kv_starts_s)[:self.config.max_kv_flows])
-        self.solver = solver
 
     def _rebase(self, starts: List[float]) -> List[float]:
         """Replay the admission pattern inside ``kv_window_s``.
@@ -128,7 +126,7 @@ class KvCosim:
         place = self.placement
         reset_flow_ids()
         sim = Simulator()
-        fabric = Fabric(place.topology, solver=self.solver)
+        fabric = Fabric(place.topology)
         engine = FabricEngine(fabric, sim)
 
         kv_times: List[float] = []

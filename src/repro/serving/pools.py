@@ -127,7 +127,6 @@ def slice_params(params: AstralParams,
         aggs_per_group=min(params.aggs_per_group, 4),
         cores_per_group=min(params.cores_per_group, 4),
         tier3_oversubscription=params.tier3_oversubscription,
-        solver=params.solver,
     )
 
 

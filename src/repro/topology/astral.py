@@ -55,14 +55,6 @@ class AstralParams:
     tor_agg_gbps: float = 400.0
     agg_core_gbps: float = 400.0
     tier3_oversubscription: float = 1.0
-    #: max-min solver backend for fabrics built from these params
-    #: ("python" / "vector" / "auto"); ``None`` follows the process
-    #: default (:func:`repro.network.solver.default_backend`).  Not a
-    #: physical dimension, but carried here because every subsystem
-    #: that builds a :class:`~repro.network.fabric.Fabric` starts from
-    #: an ``AstralParams`` — and the backends are bit-identical, so
-    #: this only selects wall-clock, never results.
-    solver: "str | None" = None
 
     @classmethod
     def small(cls) -> "AstralParams":

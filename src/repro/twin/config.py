@@ -50,8 +50,6 @@ class TwinConfig:
     kind: str = "cluster"
     scale: str = "small"
     seed: Union[int, str] = 0
-    #: max-min solver backend ("python" / "vector" / None = default).
-    solver: Optional[str] = None
     # -- cluster-kind knobs ----------------------------------------------
     jobs: int = 24
     policy: str = "topology"

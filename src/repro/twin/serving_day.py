@@ -40,13 +40,9 @@ class ServingDayStack:
         """Run the day.  Flow ids reset first so the computation is a
         pure function of the scenario — sessions sharing a worker
         process cannot skew each other's streams."""
-        from ..network.solver import use_backend
         from ..serving import ServingRun
         reset_flow_ids()
-        with use_backend(self.config.solver):
-            self.report = ServingRun(
-                self.scenario,
-                solver=self.config.solver).run().to_dict()
+        self.report = ServingRun(self.scenario).run().to_dict()
 
     # -- session protocol ------------------------------------------------
     def validate(self, action: Dict[str, Any]) -> None:

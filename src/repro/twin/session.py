@@ -15,7 +15,7 @@ action log.  Because applying a normalized action is a deterministic
 function of session state, re-running the log from a fresh session
 built from the same config lands on the same state bit-for-bit:
 ``replay(config, log).digest() == live.digest()`` with ``==``, the
-same determinism bar the farm and solver backends meet.
+same determinism bar the farm meets.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class _ClusterStack:
         self.config = config
         self.params = config.astral_params()
         self.topology = build_astral(self.params)
-        self.fabric = Fabric(self.topology, solver=config.solver)
+        self.fabric = Fabric(self.topology)
         self.engine = FabricEngine(self.fabric)
         self.sim = self.engine.sim
         self.allocator = GpuAllocator(self.topology)

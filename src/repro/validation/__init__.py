@@ -12,7 +12,8 @@ cross-checks them systematically:
   (rate feasibility, work conservation, max-min KKT, byte
   conservation, clock monotonicity, bit-identical replay);
 * :mod:`~repro.validation.differential` — two models, one scenario
-  (engine vs batch, flow-mapped vs analytic, fluid vs packet);
+  (engine vs batch, max-min kernel vs reference, flow-mapped vs
+  analytic, fluid vs packet);
 * :mod:`~repro.validation.metamorphic` — transform the input,
   predict the output (rate scaling, idle job, unused link);
 * :mod:`~repro.validation.runner` — the ``repro validate`` campaign.
@@ -21,9 +22,9 @@ cross-checks them systematically:
 from .differential import (
     check_engine_vs_batch,
     check_fluid_vs_packet,
+    check_kernel_reference,
     check_ring_vs_analytic,
     check_rs_ag_composition,
-    check_solver_backends,
     ring_busbw_gbps,
 )
 from .metamorphic import (
@@ -74,6 +75,7 @@ __all__ = [
     "check_fluid_vs_packet",
     "check_idle_job_noop",
     "check_incidence_solution",
+    "check_kernel_reference",
     "check_max_min_bottleneck",
     "check_rate_feasibility",
     "check_rate_scaling",
@@ -81,7 +83,6 @@ __all__ = [
     "check_rs_ag_composition",
     "check_same_result",
     "check_solution",
-    "check_solver_backends",
     "check_unused_link_noop",
     "check_work_conservation",
     "link_usage",

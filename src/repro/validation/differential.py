@@ -5,12 +5,16 @@ reproduction numbers trustworthy (ASTRA-sim2.0 does exactly this for
 its network backends):
 
 * **engine vs batch** — the event-driven :class:`FabricEngine` and the
-  epoch-global ``complete_batch`` loop share the solver but disagree
-  on everything else (incremental component solves vs global
-  re-solves, deadline events vs epoch stepping).  For simultaneous
-  starts their finish times must be *bit-identical* — both integrate
-  with the same absolute-deadline arithmetic, so any mismatch is a
-  logic bug, not float noise.
+  epoch-global ``complete_batch`` loop solve with different code (the
+  engine runs the production kernel per component, the batch loop the
+  reference loop over every flow) and step time differently (deadline
+  events vs epochs).  For
+  simultaneous starts their finish times must be *bit-identical* —
+  both integrate with the same absolute-deadline arithmetic, so any
+  mismatch is a logic bug, not float noise.
+* **kernel vs reference** — every production max-min kernel call a
+  scenario makes is re-solved with the reference loop and must agree
+  ``==`` row by row.
 * **flow-mapped vs analytic collectives** — Seer's calibrated
   effective-bandwidth model (§4.3) against the same collective run as
   explicit flows on the fabric, within a bounded relative error; plus
@@ -26,6 +30,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence
 
+from ..network import engine
 from ..network.collectives import (
     Endpoint,
     all_gather_flows,
@@ -37,15 +42,15 @@ from ..network.congestion import CongestionModel
 from ..network.fabric import Fabric, LinkLoad
 from ..network.flows import Flow, FlowPath, reset_flow_ids
 from ..network.packetsim import PacketQueueSim
-from ..network.solver import HAVE_NUMPY, use_backend
+from ..network.solver import fill_rates_python
 from .oracles import Violation
 
 __all__ = [
     "check_engine_vs_batch",
     "check_fluid_vs_packet",
+    "check_kernel_reference",
     "check_ring_vs_analytic",
     "check_rs_ag_composition",
-    "check_solver_backends",
     "ring_busbw_gbps",
 ]
 
@@ -89,31 +94,66 @@ def check_engine_vs_batch(fabric: Fabric, flows: Sequence[Flow],
     return violations
 
 
-def check_solver_backends(run_fn, label: str = "scenario"
-                          ) -> List[Violation]:
-    """Vector and python solver backends must agree bit-for-bit.
+def _reference_rates(inc, capacity, line_rate: float) -> List[float]:
+    """Re-solve a compiled incidence's alive rows with the reference
+    loop; dead rows get 0.0, as the kernel leaves them."""
+    alive = inc.alive.nonzero()[0].tolist()
+    members: Dict[int, set] = {col: set() for col in range(inc.n_links)}
+    hops_of: Dict[int, List[int]] = {}
+    for row in alive:
+        cols = inc.mem_cols[inc.indptr[row]:inc.indptr[row + 1]].tolist()
+        hops_of[row] = cols
+        for col in cols:
+            members[col].add(row)
+    remaining = dict(enumerate(capacity.tolist()))
+    rates = fill_rates_python(remaining, members, hops_of, line_rate)
+    return [rates.get(row, 0.0) for row in range(inc.n_rows)]
 
-    *run_fn* rebuilds its whole world from a seed and returns a
-    comparable summary (finish times, rates, reroutes — anything but
-    event traces, which legitimately differ: the vector backend fires
-    one engine-level deadline event where the python backend fires one
-    timeout per flow).  The kernel in :mod:`repro.network.solver` uses
-    only element-wise operations and order-preserving tie detection,
-    so equality here is exact ``==`` — any mismatch is a backend bug,
-    not float noise.  Skipped (empty) when numpy is unavailable.
+
+def check_kernel_reference(run_fn, label: str = "scenario"
+                           ) -> List[Violation]:
+    """Every production kernel solve must equal the reference loop.
+
+    Runs *run_fn* once with ``repro.network.engine``'s
+    ``progressive_fill_vector`` binding — the one call site of the
+    production max-min kernel — wrapped: each call is re-solved with
+    :func:`~repro.network.solver.fill_rates_python` on a copy of its
+    ``remaining`` capacities, and any row whose rate is not ``==`` to
+    the reference (0.0 for retired rows) is a ``kernel-reference``
+    violation.  The kernel performs exactly the reference's
+    element-wise operations, so equality is exact; any mismatch is a
+    kernel bug, not float noise.  The original binding is restored
+    even when *run_fn* raises.
     """
-    if not HAVE_NUMPY:
-        return []
-    with use_backend("python"):
-        reference = run_fn()
-    with use_backend("vector"):
-        vectorized = run_fn()
-    if reference != vectorized:
-        return [Violation(
-            "solver-backends",
-            f"{label}: python and vector solver backends disagree: "
-            f"{reference!r} vs {vectorized!r}")]
-    return []
+    kernel = engine.progressive_fill_vector
+    violations: List[Violation] = []
+    calls = 0
+
+    def checked(inc, remaining, line_rate, stats=None):
+        nonlocal calls
+        calls += 1
+        capacity = remaining.copy()
+        rates = kernel(inc, remaining, line_rate, stats)
+        expected = _reference_rates(inc, capacity, line_rate)
+        bad = [row for row, (got, want)
+               in enumerate(zip(rates.tolist(), expected))
+               if got != want]
+        if bad:
+            row = bad[0]
+            violations.append(Violation(
+                "kernel-reference",
+                f"{label}: kernel call {calls}: {len(bad)} of "
+                f"{inc.n_rows} rows differ from the reference; flow "
+                f"{inc.fids[row]} got {float(rates[row])!r}, reference "
+                f"{expected[row]!r}"))
+        return rates
+
+    engine.progressive_fill_vector = checked
+    try:
+        run_fn()
+    finally:
+        engine.progressive_fill_vector = kernel
+    return violations
 
 
 # --------------------------------------------------------------------------

@@ -227,7 +227,7 @@ def check_incidence_solution(hops_of: Dict[int, Sequence],
     """Rate-allocation oracles on a raw incidence problem.
 
     The fabric-free twin of :func:`check_solution`, for driving the
-    solver backends (:mod:`repro.network.solver`) directly with
+    solver core (:mod:`repro.network.solver`) directly with
     synthetic flow×link problems — ``hops_of`` maps flow id to its
     hops (any hashables), ``capacity`` gives each hop's Gbps.  Checks
     feasibility, work conservation (a flow earns rate 0 only by

@@ -38,14 +38,11 @@ serving     rate-doubling monotonicity (Poisson superposition over the
             full-contract power-cap identity, determinism
 ==========  ==========================================================
 
-Every profile additionally runs the **solver-backends** differential:
-its determinism fingerprint is recomputed once under the pure-python
-progressive-filling backend and once under the vectorized kernel, and
-the two must compare exact ``==`` (skipped when numpy is absent).
-Event *traces* are the one artifact allowed to differ across backends
-— the vector engine fires a single fabric-level deadline event where
-the python engine arms one timeout per flow — so the fingerprints
-compared here deliberately exclude them.
+Every profile additionally runs the **kernel-reference** differential:
+its determinism fingerprint is recomputed once more with every
+production max-min kernel call re-solved by the reference loop
+(``fill_rates_python``), and each solved row must compare exact ``==``.
+There is one production kernel; the reference exists only to check it.
 """
 
 from __future__ import annotations
@@ -57,14 +54,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..network.engine import FabricEngine
 from ..network.fabric import Fabric
-from ..network.solver import resolve_backend, use_backend
 from ..resilience import FailureInjector
 from .differential import (
     check_engine_vs_batch,
     check_fluid_vs_packet,
+    check_kernel_reference,
     check_ring_vs_analytic,
     check_rs_ag_composition,
-    check_solver_backends,
 )
 from .metamorphic import (
     check_idle_job_noop,
@@ -250,7 +246,7 @@ def _check_batch(spec: ScenarioSpec, fast: bool) -> (List[str],
                                                      List[Violation]):
     checks = ["solver-oracles", "engine-vs-batch", "byte-conservation",
               "rate-scaling", "idle-job-noop", "unused-link-noop",
-              "bit-identical-replay", "solver-backends"]
+              "bit-identical-replay", "kernel-reference"]
     violations: List[Violation] = []
     topology = build_topology(spec)
     fabric = Fabric(topology)
@@ -266,7 +262,7 @@ def _check_batch(spec: ScenarioSpec, fast: bool) -> (List[str],
     violations += check_unused_link_noop(spec)
     violations += check_same_result(
         lambda: _batch_fingerprint(spec), label=f"case {spec.index}")
-    violations += check_solver_backends(
+    violations += check_kernel_reference(
         lambda: _batch_fingerprint(spec), label=f"case {spec.index}")
     return checks, violations
 
@@ -282,7 +278,7 @@ def _check_timed(spec: ScenarioSpec, fast: bool) -> (List[str],
                                                      List[Violation]):
     checks = ["clock-monotonic", "byte-conservation",
               "per-epoch-solver-oracles", "bit-identical-replay",
-              "solver-backends"]
+              "kernel-reference"]
     violations: List[Violation] = []
     run, _, _, sim, _, flows = _run_engine_scenario(spec)
     violations += check_clock_monotonic(sim.trace)
@@ -295,7 +291,7 @@ def _check_timed(spec: ScenarioSpec, fast: bool) -> (List[str],
         capacity_events=capacity_events)
     violations += check_same_result(
         lambda: _engine_fingerprint(spec), label=f"case {spec.index}")
-    violations += check_solver_backends(
+    violations += check_kernel_reference(
         lambda: _engine_fingerprint(spec), label=f"case {spec.index}")
     return checks, violations
 
@@ -303,7 +299,7 @@ def _check_timed(spec: ScenarioSpec, fast: bool) -> (List[str],
 def _check_faulted(spec: ScenarioSpec, fast: bool) -> (List[str],
                                                        List[Violation]):
     checks = ["clock-monotonic", "flow-accounting", "reroute-bounds",
-              "bit-identical-replay", "solver-backends"]
+              "bit-identical-replay", "kernel-reference"]
     violations: List[Violation] = []
     run, engine, injector, sim, cancelled, flows = \
         _run_engine_scenario(spec)
@@ -335,7 +331,7 @@ def _check_faulted(spec: ScenarioSpec, fast: bool) -> (List[str],
                 f"{n_changes} topology changes"))
     violations += check_same_result(
         lambda: _engine_fingerprint(spec), label=f"case {spec.index}")
-    violations += check_solver_backends(
+    violations += check_kernel_reference(
         lambda: _engine_fingerprint(spec), label=f"case {spec.index}")
     return checks, violations
 
@@ -344,7 +340,7 @@ def _check_collective(spec: ScenarioSpec, fast: bool) -> (List[str],
                                                           List[Violation]):
     checks = ["flow-vs-analytic", "rs-ag-composition",
               "solver-oracles", "fluid-vs-packet",
-              "bit-identical-replay", "solver-backends"]
+              "bit-identical-replay", "kernel-reference"]
     violations: List[Violation] = []
     conf = spec.collective or {}
     hosts = conf["hosts"]
@@ -373,7 +369,7 @@ def _check_collective(spec: ScenarioSpec, fast: bool) -> (List[str],
     violations += check_same_result(
         lambda: _collective_fingerprint(spec),
         label=f"case {spec.index}")
-    violations += check_solver_backends(
+    violations += check_kernel_reference(
         lambda: _collective_fingerprint(spec),
         label=f"case {spec.index}")
     return checks, violations
@@ -394,7 +390,7 @@ def _collective_fingerprint(spec: ScenarioSpec) -> Dict[int, float]:
 def _check_hierarchical(spec: ScenarioSpec, fast: bool
                         ) -> (List[str], List[Violation]):
     checks = ["flat-vs-folded-exact", "fold-effectiveness",
-              "bit-identical-replay", "solver-backends"]
+              "bit-identical-replay", "kernel-reference"]
     violations: List[Violation] = []
     from ..hierarchy import (HierJob, HierarchicalRun,
                              build_flat_fabric, flat_job_configs)
@@ -459,8 +455,8 @@ def _check_hierarchical(spec: ScenarioSpec, fast: bool
 
     violations += check_same_result(_fingerprint,
                                     label=f"case {spec.index}")
-    violations += check_solver_backends(_fingerprint,
-                                        label=f"case {spec.index}")
+    violations += check_kernel_reference(_fingerprint,
+                                         label=f"case {spec.index}")
     return checks, violations
 
 
@@ -468,7 +464,7 @@ def _check_faulted_hierarchical(spec: ScenarioSpec, fast: bool
                                 ) -> (List[str], List[Violation]):
     checks = ["bounded-vs-pod-exact", "refine-ladder",
               "flat-vs-refined-exact", "bit-identical-replay",
-              "solver-backends"]
+              "kernel-reference"]
     violations: List[Violation] = []
     from ..hierarchy import (HierJob, HierarchicalRun,
                              build_flat_fabric, flat_job_configs)
@@ -558,8 +554,8 @@ def _check_faulted_hierarchical(spec: ScenarioSpec, fast: bool
 
     violations += check_same_result(_fingerprint,
                                     label=f"case {spec.index}")
-    violations += check_solver_backends(_fingerprint,
-                                        label=f"case {spec.index}")
+    violations += check_kernel_reference(_fingerprint,
+                                         label=f"case {spec.index}")
     return checks, violations
 
 
@@ -567,14 +563,14 @@ def _check_serving(spec: ScenarioSpec, fast: bool
                    ) -> (List[str], List[Violation]):
     checks = ["rate-doubling-monotone", "zero-arrival-noop",
               "powercap-identity", "bit-identical-replay",
-              "solver-backends"]
+              "kernel-reference"]
     violations: List[Violation] = []
     violations += check_serving_rate_doubling(spec)
     violations += check_serving_zero_arrival(spec)
     violations += check_serving_powercap_identity(spec)
     violations += check_same_result(
         lambda: _serving_fingerprint(spec), label=f"case {spec.index}")
-    violations += check_solver_backends(
+    violations += check_kernel_reference(
         lambda: _serving_fingerprint(spec), label=f"case {spec.index}")
     return checks, violations
 
@@ -603,24 +599,15 @@ _BATTERIES: Dict[str, Callable] = {
 # Entry points
 # --------------------------------------------------------------------------
 
-def run_case(seed: int, index: int, fast: bool = False,
-             solver: Optional[str] = None) -> CaseReport:
-    """Regenerate and validate one scenario.
-
-    ``solver`` pins the max-min solver backend for the battery
-    (``"python"`` / ``"vector"`` / ``"auto"``); ``None`` follows the
-    process default.  The solver-backends differential inside each
-    battery still exercises *both* backends regardless — the pin only
-    selects which backend the primary oracles run on.
-    """
+def run_case(seed: int, index: int, fast: bool = False) -> CaseReport:
+    """Regenerate and validate one scenario."""
     spec = ScenarioGenerator(seed).spec(index)
     report = CaseReport(seed=seed, index=index, family=spec.family,
                         profile=spec.profile, spec=spec.to_dict())
     battery = _BATTERIES[spec.profile]
     started = time.perf_counter()
     try:
-        with use_backend(solver):
-            report.checks, report.violations = battery(spec, fast)
+        report.checks, report.violations = battery(spec, fast)
     except Exception as exc:  # noqa: BLE001 — a crash is a finding
         trace = traceback.format_exc(limit=4)
         report.violations = [Violation(
@@ -635,8 +622,7 @@ def run_campaign(seed: int, n_cases: int,
                  progress: Optional[Callable[[CaseReport], None]] = None,
                  workers: int = 1,
                  use_cache: bool = False,
-                 cache_dir: Optional[str] = None,
-                 solver: Optional[str] = None
+                 cache_dir: Optional[str] = None
                  ) -> CampaignReport:
     """Validate ``n_cases`` scenarios (or an explicit index list).
 
@@ -645,19 +631,16 @@ def run_campaign(seed: int, n_cases: int,
     ``use_cache`` serves unchanged cases from the farm's
     content-addressed result cache (``cache_dir`` overrides its
     location).  Both paths produce bit-identical reports — the farm
-    route exists purely for wall-clock and memoization.  ``solver``
-    pins the max-min backend (see :func:`run_case`); the farm path
-    folds the *resolved* backend name into each task's content hash so
-    cached results never cross backends.
+    route exists purely for wall-clock and memoization.
     """
     if workers > 1 or use_cache:
         return _run_campaign_farm(seed, n_cases, indices=indices,
                                   fast=fast, progress=progress,
                                   workers=workers, use_cache=use_cache,
-                                  cache_dir=cache_dir, solver=solver)
+                                  cache_dir=cache_dir)
     report = CampaignReport(seed=seed)
     for index in (indices if indices is not None else range(n_cases)):
-        case = run_case(seed, index, fast=fast, solver=solver)
+        case = run_case(seed, index, fast=fast)
         report.cases.append(case)
         if progress is not None:
             progress(case)
@@ -667,17 +650,14 @@ def run_campaign(seed: int, n_cases: int,
 def _run_campaign_farm(seed: int, n_cases: int,
                        indices: Optional[Sequence[int]],
                        fast: bool, progress, workers: int,
-                       use_cache: bool, cache_dir: Optional[str],
-                       solver: Optional[str] = None
+                       use_cache: bool, cache_dir: Optional[str]
                        ) -> CampaignReport:
     """The farm-backed campaign path (parallel and/or cached)."""
     from ..farm import FarmExecutor, ResultCache, TaskSpec
 
-    resolved = resolve_backend(solver)
     specs = [
         TaskSpec("validation-case",
-                 {"seed": seed, "index": int(index), "fast": fast,
-                  "solver": resolved},
+                 {"seed": seed, "index": int(index), "fast": fast},
                  label=f"validate[{seed}:{index}]")
         for index in (indices if indices is not None
                       else range(n_cases))

@@ -8,7 +8,7 @@ float, no tolerances.  For every class whose certificate is void the
 and the reason), not just the final numbers.  The fault-then-heal
 scenarios from the issue ride here too: a link flap inside the
 hold-down window while a refined group's tenants are live, a heal that
-refolds under the vector solver, and a double fault in two pods
+refolds, and a double fault in two pods
 sharing a cross-pod tenant (one merged group, never two).
 """
 
@@ -20,12 +20,9 @@ from repro.monitoring import FaultSpec, Manifestation, RootCause
 from repro.monitoring.multijob import MultiJobRun
 from repro.network import Fabric, FabricEngine, make_flow
 from repro.network.flows import reset_flow_ids
-from repro.network.solver import HAVE_NUMPY, use_backend
 from repro.resilience import FailureInjector, FaultDomain, expand_domains
 from repro.topology import AstralParams, build_astral
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="numpy not available")
+from repro.validation import check_kernel_reference
 
 
 @pytest.fixture(autouse=True)
@@ -272,26 +269,27 @@ class TestBoundedDifferential:
         assert report.n_refine_engine_hosts == 2 * params.hosts_per_block
         assert report.refine_levels == {"block": 1}
 
-    def test_both_solver_backends_agree(self):
+    def test_kernel_matches_reference(self):
+        """Every kernel solve of a refined run equals the reference
+        loop, and checking it leaves the result untouched."""
         params, jobs = tiny(), block_jobs(tiny())
         faults = {"j0": fault(RootCause.GPU_HARDWARE,
                               Manifestation.FAIL_STOP, "p0.b0.h0")}
+        outcomes = []
 
         def _run():
             reset_flow_ids()
-            return HierarchicalRun(params, jobs, faults=faults).run()
+            outcomes.append(
+                HierarchicalRun(params, jobs, faults=faults).run())
 
-        with use_backend("python"):
-            reference = _run()
-        if not HAVE_NUMPY:
-            pytest.skip("numpy not available")
-        with use_backend("vector"):
-            assert_bit_identical(_run(), reference)
+        assert check_kernel_reference(_run, label="refined") == []
+        _run()
+        assert_bit_identical(outcomes[0], outcomes[1])
 
 
 class TestFaultThenHealAtScale:
-    """The three issue scenarios: flap in the hold-down, heal-refold
-    under the vector solver, double fault on a shared tenant."""
+    """The three fault-then-heal scenarios: flap in the hold-down,
+    heal-refold, double fault on a shared tenant."""
 
     def test_flap_inside_holddown_during_refined_group_run(self):
         """While a refined group's tenants are live on the engine, a
@@ -331,23 +329,20 @@ class TestFaultThenHealAtScale:
         assert restores and restores[0].at_s == pytest.approx(12.0)
         assert engine.fabric.topology.links[victim].healthy
 
-    @needs_numpy
     def test_heal_triggered_refold_under_vector_solver(self):
         """Fault clears -> the next run folds back to one pod class,
-        and the refolded result is bit-identical to flat, all on the
-        vector backend."""
+        and the refolded result is bit-identical to flat."""
         params, jobs = tiny(), block_jobs(tiny())
         faults = {"j2": fault(RootCause.GPU_HARDWARE,
                               Manifestation.FAIL_STOP, "p1.b0.h0")}
-        with use_backend("vector"):
-            faulted = HierarchicalRun(params, jobs, faults=faults)
-            faulted.run()
-            assert faulted.report.n_refined_groups == 1
-            assert faulted.report.refine_levels == {"block": 1}
-            healed = HierarchicalRun(params, jobs)
-            assert_bit_identical(healed.run(), run_flat(params, jobs))
-            assert healed.report.n_refined_groups == 0
-            assert healed.report.exact
+        faulted = HierarchicalRun(params, jobs, faults=faults)
+        faulted.run()
+        assert faulted.report.n_refined_groups == 1
+        assert faulted.report.refine_levels == {"block": 1}
+        healed = HierarchicalRun(params, jobs)
+        assert_bit_identical(healed.run(), run_flat(params, jobs))
+        assert healed.report.n_refined_groups == 0
+        assert healed.report.exact
 
     def test_double_fault_shared_tenant_merges_to_one_group(self):
         """Faults in two pods that share a cross-pod tenant must land

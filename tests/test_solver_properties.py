@@ -5,33 +5,35 @@ subsets of capacitated links, including zero-capacity (dead) links,
 loose links that leave flows line-rate-capped, and tight links that
 force real contention — and checks, per problem:
 
-* the reference backend's allocation satisfies the max-min oracles
+* the reference loop's allocation satisfies the max-min oracles
   (:func:`~repro.validation.check_incidence_solution`: feasibility,
   work conservation, KKT bottleneck condition);
-* the vector backend returns a bit-identical allocation (``==`` on
-  the rate dicts, no tolerance) with identical ``link_visits``;
+* the production kernel, fed through the engine's own compile path
+  (``IncidenceIndex`` -> ``compile_component`` -> ``gather_capacity``),
+  returns a bit-identical allocation (``==`` on the rate dicts, no
+  tolerance) with identical ``link_visits``;
+* after rows are retired in place (``CompiledIncidence.retire``, the
+  engine's completion path) the kernel still equals the reference on
+  the surviving flows, and retired rows stay at 0.0;
 * repeated solves of the same problem are deterministic.
 
 Crafted edge cases (all links tied at one share, everything
 line-rate-capped, flows through dead links) pin the exact values.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.solver import (
-    HAVE_NUMPY,
+    IncidenceIndex,
     SolverStats,
+    compile_component,
     fill_rates_python,
-    solve_incidence_vector,
+    progressive_fill_vector,
 )
 from repro.validation import check_incidence_solution
 
 LINE_RATE = 100.0
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="numpy not available")
 
 
 # --------------------------------------------------------------------------
@@ -76,7 +78,7 @@ def incidence_problems(draw):
 
 
 def solve_python(hops_of, capacity, stats=None):
-    """Run the reference backend on a raw incidence problem."""
+    """Run the reference loop on a raw incidence problem."""
     remaining = dict(capacity)
     members = {hop: set() for hop in capacity}
     for fid, hops in hops_of.items():
@@ -86,11 +88,34 @@ def solve_python(hops_of, capacity, stats=None):
                              LINE_RATE, stats)
 
 
+def compile_problem(hops_of, capacity):
+    """Compile a raw problem the way the engine does: capacities and
+    per-flow columns into a persistent index, then one component."""
+    index = IncidenceIndex()
+    for hop, value in capacity.items():
+        index.set_capacity(hop, value)
+    for fid, hops in hops_of.items():
+        index.register_flow(fid, hops)
+    inc, l2g = compile_component(list(hops_of), index)
+    return inc, index.gather_capacity(l2g)
+
+
+def solve_kernel(inc, remaining, stats=None):
+    """Run the production kernel; rate per flow id, dead rows included."""
+    rates = progressive_fill_vector(inc, remaining, LINE_RATE, stats)
+    return dict(zip(inc.fids, rates.tolist()))
+
+
+def solve_vector(hops_of, capacity, stats=None):
+    return solve_kernel(*compile_problem(hops_of, capacity), stats)
+
+
 # --------------------------------------------------------------------------
 # Randomized properties
 # --------------------------------------------------------------------------
 
 class TestReferenceBackend:
+    """The reference loop itself."""
 
     @given(incidence_problems())
     @settings(max_examples=120, deadline=None)
@@ -110,8 +135,8 @@ class TestReferenceBackend:
             == solve_python(hops_of, capacity)
 
 
-@needs_numpy
 class TestVectorBackend:
+    """The production kernel against the reference loop."""
 
     @given(incidence_problems())
     @settings(max_examples=120, deadline=None)
@@ -120,19 +145,34 @@ class TestVectorBackend:
         py_stats = SolverStats()
         vec_stats = SolverStats()
         py_rates = solve_python(hops_of, capacity, py_stats)
-        vec_rates = solve_incidence_vector(hops_of, capacity,
-                                           LINE_RATE, vec_stats)
+        vec_rates = solve_vector(hops_of, capacity, vec_stats)
         # Exact equality: same keys, same float bit patterns.
         assert vec_rates == py_rates
         assert vec_stats.link_visits == py_stats.link_visits
         assert vec_stats.solves == py_stats.solves
 
+    @given(incidence_problems(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_retired_rows_match_reference(self, problem, data):
+        hops_of, capacity = problem
+        retired = data.draw(st.sets(st.sampled_from(sorted(hops_of))))
+        inc, remaining = compile_problem(hops_of, capacity)
+        for fid in sorted(retired):
+            assert inc.retire(fid)
+            assert not inc.retire(fid)  # a dead row retires once
+        survivors = {fid: hops for fid, hops in hops_of.items()
+                     if fid not in retired}
+        rates = solve_kernel(inc, remaining)
+        assert {fid: rates[fid] for fid in survivors} \
+            == solve_python(survivors, capacity)
+        assert all(rates[fid] == 0.0 for fid in retired)
+
     @given(incidence_problems())
     @settings(max_examples=40, deadline=None)
     def test_deterministic(self, problem):
         hops_of, capacity = problem
-        first = solve_incidence_vector(hops_of, capacity, LINE_RATE)
-        again = solve_incidence_vector(hops_of, capacity, LINE_RATE)
+        first = solve_vector(hops_of, capacity)
+        again = solve_vector(hops_of, capacity)
         assert first == again
 
 
@@ -141,12 +181,9 @@ class TestVectorBackend:
 # --------------------------------------------------------------------------
 
 def both_backends(hops_of, capacity):
-    results = [solve_python(hops_of, capacity)]
-    if HAVE_NUMPY:
-        vec = solve_incidence_vector(hops_of, capacity, LINE_RATE)
-        assert vec == results[0]
-        results.append(vec)
-    return results[0]
+    reference = solve_python(hops_of, capacity)
+    assert solve_vector(hops_of, capacity) == reference
+    return reference
 
 
 class TestEdgeCases:

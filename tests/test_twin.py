@@ -2,7 +2,7 @@
 
 The load-bearing property is the replay contract: a live session's
 digest equals ``replay(config, action_log)``'s digest with ``==``,
-under both solver backends and across ``PYTHONHASHSEED`` values.  The
+including across ``PYTHONHASHSEED`` values.  The
 HTTP layer is tested end to end through :class:`ServerHarness` — a
 real server on a background thread — including the sharded mode where
 two concurrent sessions must not contaminate each other.
@@ -19,9 +19,8 @@ from repro.twin import (ServerHarness, TwinClientError, TwinConfig,
                         TwinSession, replay)
 
 
-def _tiny(solver=None, seed=7, **overrides):
-    params = dict(kind="cluster", scale="tiny", seed=seed, jobs=8,
-                  solver=solver)
+def _tiny(seed=7, **overrides):
+    params = dict(kind="cluster", scale="tiny", seed=seed, jobs=8)
     params.update(overrides)
     return TwinConfig(**params)
 
@@ -52,36 +51,26 @@ class TestConfig:
             TwinConfig(scale="galactic")
 
     def test_params_round_trip(self):
-        config = _tiny(solver="python")
+        config = _tiny()
         assert TwinConfig.from_params(config.to_params()) == config
 
     def test_from_params_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown keys"):
-            TwinConfig.from_params({"scale": "tiny", "warp": 9})
+        # A config saved when sessions still named a solver backend
+        # fails with the same named error as any other stray key.
+        for params in ({"scale": "tiny", "warp": 9},
+                       {"scale": "tiny", "solver": "python"}):
+            with pytest.raises(ValueError, match="unknown keys"):
+                TwinConfig.from_params(params)
 
 
 class TestReplayDeterminism:
-    @pytest.mark.parametrize("solver", ["python", "vector"])
-    def test_replay_matches_live(self, solver):
-        live = _drive(TwinSession(_tiny(solver=solver)))
+    def test_replay_matches_live(self):
+        live = _drive(TwinSession(_tiny()))
         replayed = replay(live.config, live.action_log)
         assert replayed.digest() == live.digest()
         # Not just the digest: every boundary snapshot is identical.
         assert replayed.snapshots == live.snapshots
         assert replayed.store == live.store
-
-    def test_backends_agree(self):
-        """Same world state under both solver backends.
-
-        The full session digest hashes the config (which names the
-        backend), so compare the stack fingerprints — everything the
-        simulation actually computed."""
-        states = {
-            solver: _drive(TwinSession(_tiny(solver=solver)))
-            for solver in ("python", "vector")}
-        assert states["python"].stack.fingerprint() \
-            == states["vector"].stack.fingerprint()
-        assert states["python"].snapshots == states["vector"].snapshots
 
     def test_seeds_diverge(self):
         a = _drive(TwinSession(_tiny(seed=1))).digest()

@@ -1,5 +1,5 @@
-"""Differential checkers: engine vs batch, flow vs analytic, fluid vs
-packet.
+"""Differential checkers: engine vs batch, kernel vs reference, flow
+vs analytic, fluid vs packet.
 
 The engine-vs-batch equality is *exact* (``==`` on floats): both
 integrate with cached absolute deadlines since the epoch-drift fix in
@@ -8,18 +8,21 @@ the old relative-step integrator and shows the differential catches
 the drift it produces — the bug the validation harness surfaced.
 """
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network import Fabric, make_flow, reset_flow_ids
+import repro.network.engine as engine_module
+from repro.network import Fabric, FabricEngine, make_flow, reset_flow_ids
 from repro.simcore import SimulationError
 from repro.topology import AstralParams, build_astral
 from repro.validation import (
     check_engine_vs_batch,
     check_fluid_vs_packet,
+    check_kernel_reference,
     check_ring_vs_analytic,
     check_rs_ag_composition,
 )
@@ -116,6 +119,51 @@ def _legacy_complete_batch(fabric, flows, paths):
         if stalls >= 8:
             raise RuntimeError("no progress")
     return finish
+
+
+def _timed_scenario():
+    """A tiny timed run: staggered arrivals, so solves see retired rows
+    as well as fresh ones.  Returns the finish times."""
+    rng = random.Random("kernel-reference")
+    reset_flow_ids()
+    topo = build_astral(AstralParams.small())
+    engine = FabricEngine(Fabric(topo))
+    hosts = sorted(host.name for host in topo.hosts())
+    for flow in _random_flows(rng, hosts, 8):
+        engine.submit(flow, start_time_s=rng.uniform(0.0, 0.5))
+    return dict(engine.run().finish_times_s)
+
+
+class TestKernelReference:
+    def test_clean_kernel_passes(self):
+        assert check_kernel_reference(_timed_scenario) == []
+
+    def test_catches_one_ulp_drift(self, monkeypatch):
+        kernel = engine_module.progressive_fill_vector
+
+        def off_by_one_ulp(inc, remaining, line_rate, stats=None):
+            rates = kernel(inc, remaining, line_rate, stats)
+            row = int(inc.alive.nonzero()[0][0])
+            rates[row] = math.nextafter(rates[row], math.inf)
+            return rates
+
+        monkeypatch.setattr(engine_module, "progressive_fill_vector",
+                            off_by_one_ulp)
+        violations = check_kernel_reference(_timed_scenario, "tiny")
+        assert violations
+        assert {v.oracle for v in violations} == {"kernel-reference"}
+        assert engine_module.progressive_fill_vector is off_by_one_ulp
+
+    def test_binding_restored_after_exception(self):
+        kernel = engine_module.progressive_fill_vector
+
+        def crash():
+            assert engine_module.progressive_fill_vector is not kernel
+            raise RuntimeError("scenario blew up")
+
+        with pytest.raises(RuntimeError, match="blew up"):
+            check_kernel_reference(crash)
+        assert engine_module.progressive_fill_vector is kernel
 
 
 class TestFlowVsAnalytic:
