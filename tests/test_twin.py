@@ -17,6 +17,7 @@ import pytest
 from repro.monitoring.telemetry import TelemetryStore
 from repro.twin import (ServerHarness, TwinClientError, TwinConfig,
                         TwinSession, replay)
+from repro.validation.differential import check_kernel_reference
 
 
 def _tiny(seed=7, **overrides):
@@ -64,9 +65,24 @@ class TestConfig:
 
 
 class TestReplayDeterminism:
-    def test_replay_matches_live(self):
-        live = _drive(TwinSession(_tiny()))
-        replayed = replay(live.config, live.action_log)
+    @pytest.mark.parametrize("kernel", ["python", "vector"])
+    def test_replay_matches_live(self, kernel):
+        """Replay equals live.  Under ``python`` any max-min kernel
+        solve either session makes is also re-solved with the reference
+        loop (``fill_rates_python``) and must match it row for row;
+        under ``vector`` the production kernel runs unwrapped."""
+        sessions = []
+
+        def _run():
+            live = _drive(TwinSession(_tiny()))
+            sessions.append(live)
+            sessions.append(replay(live.config, live.action_log))
+
+        if kernel == "python":
+            assert check_kernel_reference(_run, label="twin") == []
+        else:
+            _run()
+        live, replayed = sessions
         assert replayed.digest() == live.digest()
         # Not just the digest: every boundary snapshot is identical.
         assert replayed.snapshots == live.snapshots
