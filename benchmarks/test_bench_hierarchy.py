@@ -131,9 +131,8 @@ def test_hierarchy_512k_faulted(benchmark, series_printer):
     params = preset_params(scale)
     jobs = uniform_jobs(params, _HOSTS_PER_JOB[scale], iterations=4,
                         tail_shapes=2)
-    # Hard mode keeps the fault inside the block-level exactness
-    # certificate (fail-stop NIC: flows stay pinned at line rate);
-    # the gray crawl would escalate to pod scope by design.
+    # Hard mode: a fail-stop NIC, inside the block-level exactness
+    # certificate (as the gray crawl now is too).
     domain = FaultDomain("optics-batch", pod=3, block=7, size=1,
                          mode="hard", seed="bench-512k")
     faults = expand_domains(params, place_jobs(params, jobs), [domain])

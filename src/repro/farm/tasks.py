@@ -72,7 +72,11 @@ def _params_for_scale(scale: str):
 # version 6: the solver-backends differential was replaced by the
 # kernel-reference differential, so every case's check list changed,
 # and the params no longer carry a backend name.
-@register_task("validation-case", version=6,
+# version 7: the timed battery gained the component-isolation check,
+# the faulted-hierarchical battery runs the flat differential for
+# timestamp faults too, and its optics-gray and timestamp variants now
+# expect block-level refinement.
+@register_task("validation-case", version=7,
                description="one repro.validation fuzz case")
 def run_validation_case(params: Dict[str, Any]) -> Dict[str, Any]:
     """Params: ``seed``, ``index``, optional ``fast`` (default True)."""

@@ -25,10 +25,7 @@ The **block-level certificate** is the exactness proof: bounded
 results must equal full-pod refinement ``==``, never approximately.
 It holds when every group fault's *effect* is hash-free (its outcome
 cannot depend on ECMP hash draws, which renaming re-salts), every
-fault is iteration-indexed (a timestamp fault lands mid-flight, where
-remaining-bits re-integration splits at whatever solve epochs the
-sub-simulation's co-residents generate), every fault target resolves
-to a block (host or ToR name) or to its own job,
+fault target resolves to a block (host or ToR name) or to its own job,
 the group's pods are a single pod of pod-local ring tenants, the
 line-rate certificate pins every healthy flow to the host line rate,
 and a blast-radius probe on a one-block topology confirms the target's
@@ -39,9 +36,9 @@ effects are the host-scoped ones (crash / hang / compute-only config
 error), job-state faults (which pick victims by position, not name),
 and telemetry-only switch drops; congestive effects (ECN storms, PFC
 spreading, switch fail-stop) route damage through hash-dependent paths
-and escalate to **pod** — as does the flaky-NIC crawl (NIC_ERRCQE
-fail-slow), which keeps transmitting below line rate where co-resident
-solve epochs reschedule its flows.
+and escalate to **pod**.  Mid-flight timestamp onsets and the
+below-line-rate NIC crawl stay in certificate: a flow's floats move
+only on its own rate changes, never on other components' epochs.
 
 Within a bounded pod, blocks are grouped into connected components
 (jobs union the blocks they span; each fault unions its target block
@@ -97,8 +94,9 @@ REFINE_MODES = ("bounded", "pod")
 #: MULTI_HOST_SOFTWARE samples victims by position from the config
 #: host list.  Everything else — congestion storms, switch fail-stop,
 #: PFC spreading — damages whichever paths the hash picked.
-#: Hash-freedom is necessary but not sufficient: see the
-#: capacity-degrading check in :func:`_fault_evidence`.
+#: Hash-freedom is necessary but not sufficient: the fault must also
+#: be block- or job-scoped with a clean blast-radius probe (see
+#: :func:`_fault_evidence`).
 _HASH_FREE_EFFECTS = frozenset({
     Effect.CONFIG_ERROR,
     Effect.NIC_ERRCQE,
@@ -180,29 +178,6 @@ def _fault_evidence(params: AstralParams, name: str, fault: FaultSpec,
             blocks=job.blocks,
             note=f"effect {effect.value}/{fault.manifestation.value} "
                  "is hash-sensitive")
-    if (effect is Effect.NIC_ERRCQE
-            and fault.manifestation is Manifestation.FAIL_SLOW):
-        # The flaky-NIC crawl scales the host's link capacities while
-        # the job keeps transmitting: its flows run *below* line rate,
-        # where every co-resident solve epoch re-integrates and
-        # reschedules them — epochs the block scope excludes.  Every
-        # other certified effect leaves surviving flows pinned at line
-        # rate (their scheduled deadlines stand across solves).
-        return FaultEvidence(
-            name=name, target=fault.target, scope="pod",
-            blocks=job.blocks,
-            note="capacity-degrading fail-slow leaves flows off line "
-                 "rate: co-resident solve epochs reschedule them")
-    if fault.at_time_s is not None:
-        # A timestamp fault lands mid-flight; mid-flight re-integration
-        # splits at whatever solve epochs co-resident tenants generate,
-        # so the result is only reproducible at the full refinement
-        # scope, not in a smaller sub-simulation.
-        return FaultEvidence(
-            name=name, target=fault.target, scope="pod",
-            blocks=job.blocks,
-            note=f"timestamp fault (at_time_s={fault.at_time_s}) "
-                 "lands mid-flight: epoch-sensitive")
     if fault.target == job.name:
         # Job-state fault: victims picked by config position, no
         # device cut set at all — touched blocks are the job's own.

@@ -26,18 +26,22 @@ degrade to one permanent super-component.  :class:`SolverStats` counts
 the work (solver calls, link visits) so the saving vs the epoch-global
 baseline is measurable — see ``benchmarks/test_bench_fabric_engine.py``.
 
-The fluid core is array-shaped: per-flow ``remaining``/``rate``/
+The fluid core is array-shaped: per-flow ``rem``/``rate``/``t_sync``/
 absolute-``deadline`` numpy arrays, cached compiled per-component
 incidence matrices (patched in place as flows finish), and one
 engine-level deadline event at the minimum of the deadline array.
 Each component solve calls
 :func:`~repro.network.solver.progressive_fill_vector`, the one
-production max-min kernel.  Every float is produced by the same
-element-wise operation sequence as the dict-shaped reference loop
-behind :meth:`Fabric.complete_batch`, so for simultaneous starts the
-finish times are ``==`` to the batch loop's, and every kernel call is
-``==`` to :func:`~repro.network.solver.fill_rates_python` on the same
-problem (the validation harness pins both).
+production max-min kernel.  One integration rule, shared with
+:meth:`Fabric.complete_batch`: a row's residue is brought current
+only when its own rate changes (``rem -= old_rate*1e9*(now -
+t_sync)``, then ``deadline = now + rem/(new_rate*1e9)``), and a flow
+finishes exactly at its stored deadline.  Other components' events
+never touch a row's floats, so finish times are component-local (the
+property folding rests on), ``==`` to the batch loop's for
+simultaneous starts, and every kernel call is ``==`` to
+:func:`~repro.network.solver.fill_rates_python` (the validation
+harness pins all three).
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 import numpy as np
 
 from ..simcore import Event, SimulationError, Simulator
-from .fabric import DONE_BITS as _DONE_BITS
 from .fabric import Fabric, FabricRun, LinkDir
 from .flows import Flow, FlowPath
 from .routing import RoutingError
@@ -84,16 +87,18 @@ class _VecFluid:
 
     One row per submitted flow, assigned in arrival order, so
     simultaneous completions are detected and recorded in the finish
-    dict in arrival order.  Rows are retired in place and compacted
-    away once dead rows dominate.
+    dict in arrival order.  ``rem`` is the row's residue as of
+    ``t_sync``, the time of its last rate change.  Rows are retired in
+    place and compacted away once dead rows dominate.
     """
 
-    __slots__ = ("rem", "rate", "deadline", "alive", "synced", "fids",
-                 "n", "n_alive")
+    __slots__ = ("rem", "rate", "t_sync", "deadline", "alive", "synced",
+                 "fids", "n", "n_alive")
 
     def __init__(self, capacity: int = 64):
         self.rem = np.zeros(capacity, dtype=np.float64)
         self.rate = np.zeros(capacity, dtype=np.float64)
+        self.t_sync = np.zeros(capacity, dtype=np.float64)
         self.deadline = np.full(capacity, np.inf, dtype=np.float64)
         self.alive = np.zeros(capacity, dtype=bool)
         #: row's ``flow.rate_gbps`` attribute has been written at least
@@ -105,20 +110,22 @@ class _VecFluid:
 
     def _grow(self) -> None:
         cap = self.rem.shape[0] * 2
-        for name in ("rem", "rate", "deadline", "alive", "synced"):
+        for name in ("rem", "rate", "t_sync", "deadline", "alive",
+                     "synced"):
             old = getattr(self, name)
             fill = np.inf if name == "deadline" else 0
             grown = np.full(cap, fill, dtype=old.dtype)
             grown[:old.shape[0]] = old
             setattr(self, name, grown)
 
-    def add(self, fid: int, remaining_bits: float) -> int:
+    def add(self, fid: int, remaining_bits: float, now: float) -> int:
         if self.n == self.rem.shape[0]:
             self._grow()
         row = self.n
         self.n += 1
         self.rem[row] = remaining_bits
         self.rate[row] = 0.0
+        self.t_sync[row] = now
         self.deadline[row] = np.inf
         self.alive[row] = True
         self.synced[row] = False
@@ -176,6 +183,9 @@ class FabricEngine:
         self._index = IncidenceIndex()
         self._comp_cache: Dict[int, _CompEntry] = {}
         self._deadline_gen = 0
+        #: minimum deadline at the last arming; no row can complete
+        #: before it, so earlier advances skip the completion scan.
+        self._armed = np.inf
         if pfc_spreading:
             from .congestion import CongestionModel
             self._congestion = congestion or CongestionModel()
@@ -439,7 +449,7 @@ class FabricEngine:
         if fid in self._states:
             raise SimulationError(f"flow {fid} arrived twice")
         self._flows_seen[fid] = flow
-        if state.remaining_bits <= _DONE_BITS:
+        if state.remaining_bits <= 0:
             # Zero-size transfers finish the instant they start.
             self._paths.setdefault(
                 fid, path or FlowPath(flow_id=fid,
@@ -458,7 +468,7 @@ class FabricEngine:
         for hop in state.hops:
             self._register_hop(fid, hop)
             self._dirty.add(hop)
-        state.row = self._vec.add(fid, state.remaining_bits)
+        state.row = self._vec.add(fid, state.remaining_bits, self._clock)
         self._index.register_flow(fid, state.hops)
         # A resubmitted flow id inherits its old union-find root, so its
         # arrival can grow a component without triggering a union —
@@ -518,31 +528,25 @@ class FabricEngine:
 
     # -- fluid bookkeeping -------------------------------------------------
     def _advance_to(self, now: float) -> None:
-        elapsed = now - self._clock
-        if elapsed < 0:
+        """Move the clock to *now* and complete, in arrival order, every
+        live row whose stored deadline is at or before it.  Residues
+        are never touched here, so below the armed minimum it is O(1).
+        """
+        if now < self._clock:
             raise SimulationError(
                 f"fabric engine clock moved backwards: {now} < "
                 f"{self._clock}")
-        if elapsed <= 0:
-            # Residues only move when time does, so zero-elapsed
-            # advances can never surface a completion.
+        self._clock = now
+        if now < self._armed:
             return
         vec = self._vec
         n = vec.n
-        if n:
-            # Same per-flow update as the batch loop: rate*1e9*elapsed,
-            # left to right.  Rows at rate 0 subtract an exact 0.0,
-            # which is a bitwise no-op, so no rate>0 mask is needed.
-            vec.rem[:n] -= vec.rate[:n] * 1e9 * elapsed
-        self._clock = now
-        if vec.n_alive:
-            done = vec.alive[:n] & (vec.rem[:n] <= _DONE_BITS)
-            rows = np.flatnonzero(done)
-            if rows.size:
-                # Row order is arrival order.
-                fids = [vec.fids[row] for row in rows.tolist()]
-                for fid in fids:
-                    self._complete(fid)
+        rows = np.flatnonzero(vec.alive[:n] & (vec.deadline[:n] <= now))
+        if rows.size:
+            # Row order is arrival order.
+            fids = [vec.fids[row] for row in rows.tolist()]
+            for fid in fids:
+                self._complete(fid)
 
     def _complete(self, fid: int) -> None:
         state = self._states.pop(fid)
@@ -589,6 +593,7 @@ class FabricEngine:
         fresh = _VecFluid(capacity=max(64, 2 * n))
         fresh.rem[:n] = vec.rem[keep]
         fresh.rate[:n] = vec.rate[keep]
+        fresh.t_sync[:n] = vec.t_sync[keep]
         fresh.deadline[:n] = vec.deadline[keep]
         fresh.alive[:n] = True
         fresh.synced[:n] = vec.synced[keep]
@@ -756,9 +761,9 @@ class FabricEngine:
     def _apply_rates(self, entry: _CompEntry, rates, now: float) -> None:
         """Scatter one component's solved rates into the fluid arrays.
 
-        Deadlines move only where the rate actually changed, and are
-        computed with the batch loop's expression — ``now +
-        rem/(rate*1e9)`` — so they land on the same bits.
+        Only rows whose rate actually changed are synced — residue
+        brought to *now* at the old rate, then a fresh deadline — with
+        the batch loop's expressions, so they land on the same bits.
         """
         inc = entry.inc
         vec = self._vec
@@ -769,6 +774,10 @@ class FabricEngine:
         if changed.any():
             ch_rows = arows[changed]
             ch_new = new[changed]
+            # Rows at rate 0 subtract an exact 0.0: a bitwise no-op.
+            vec.rem[ch_rows] -= vec.rate[ch_rows] * 1e9 * (
+                now - vec.t_sync[ch_rows])
+            vec.t_sync[ch_rows] = now
             vec.rate[ch_rows] = ch_new
             vec.deadline[ch_rows] = np.inf  # starved: cancel deadline
             pos = ch_new > 0
@@ -795,19 +804,19 @@ class FabricEngine:
 
         The engine keeps one absolute deadline per flow and schedules
         exactly one event at their minimum (``timeout_at`` lands on the
-        stored bits without re-rounding).  A generation counter
+        stored bits without re-rounding), clamped to ``now``: a
+        deadline that rounds to at or before the rate change that set
+        it completes at that instant.  A generation counter
         staleness-checks old firings.
         """
         self._deadline_gen += 1
         vec = self._vec
-        n = vec.n
-        if n == 0:
-            return
-        dmin = vec.deadline[:n].min()
+        dmin = float(vec.deadline[:vec.n].min()) if vec.n else np.inf
+        self._armed = dmin
         if dmin == np.inf:
             return
         generation = self._deadline_gen
-        self.sim.timeout_at(float(dmin)).add_callback(
+        self.sim.timeout_at(max(dmin, self.sim.now)).add_callback(
             lambda _event, generation=generation:
             self._on_deadline(generation))
 
@@ -815,26 +824,5 @@ class FabricEngine:
         if generation != self._deadline_gen:
             return  # stale deadline from a superseded arming
         self.stats.events += 1
-        now = self.sim.now
-        self._advance_to(now)
-        vec = self._vec
-        n = vec.n
-        if n:
-            expired = vec.alive[:n] & (vec.deadline[:n] <= now)
-            rows = np.flatnonzero(expired)
-            if rows.size:
-                # Float residue kept these flows fractionally alive
-                # past their deadlines (the batch loop's stall branch):
-                # re-aim from the surviving residue, completing the
-                # flows whose residual delay is below the clock
-                # resolution.
-                target = now + \
-                    vec.rem[rows] / (vec.rate[rows] * 1e9)
-                done = target == now
-                done_fids = [vec.fids[row]
-                             for row in rows[done].tolist()]
-                live_rows = rows[~done]
-                vec.deadline[live_rows] = target[~done]
-                for fid in done_fids:
-                    self._complete(fid)
+        self._advance_to(self.sim.now)
         self._arm_deadline()

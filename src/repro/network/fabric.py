@@ -22,17 +22,11 @@ from .flows import Flow, FlowPath
 from .routing import EcmpRouter
 from .solver import fill_rates_python
 
-__all__ = ["DONE_BITS", "Fabric", "FabricRun", "LinkDir", "LinkLoad"]
+__all__ = ["Fabric", "FabricRun", "LinkDir", "LinkLoad"]
 
 #: A directed traversal of a link: (link_id, forward) where forward means
 #: the flow enters at endpoint ``a`` and exits at endpoint ``b``.
 LinkDir = Tuple[int, bool]
-
-#: A flow is complete once its residue drops below this many bits.
-#: Shared by the event-driven engine and the batch loop: both integrate
-#: in floats, so exact zero is unreachable, and using one threshold is a
-#: precondition for their finish times being bit-identical.
-DONE_BITS = 1e-6
 
 
 @dataclass
@@ -239,14 +233,11 @@ class Fabric:
         ``repro.validation`` differential oracles); *stats* counts its
         solver work for the incremental-vs-global benchmark.
 
-        Integration uses the same absolute-deadline arithmetic as the
-        engine: each flow's finish deadline ``fl(now + rem / rate)`` is
-        computed once when its rate changes and only re-aimed on rate
-        changes, never re-split per epoch.  Accumulating relative steps
-        (``now += step``; ``rem -= rate * step``) instead drifts the
-        finish times by 1-2 ulp from the engine's — float addition is
-        not associative — which is exactly the epoch-tolerance bug the
-        validation oracles surfaced.
+        Integration is the engine's per-flow rule: a flow's residue is
+        brought current (``rem -= old_rate*1e9*(now - synced)``) and its
+        deadline ``now + rem/(rate*1e9)`` set only when its own rate
+        changes, and it finishes exactly at that deadline.  Each epoch
+        jumps to the earliest deadline (never before ``now``).
         """
         if paths is None:
             paths = self.resolve_paths(flows)
@@ -267,9 +258,10 @@ class Fabric:
             capacity_factors = CongestionModel().pfc_capacity_factors(
                 link_loads, self.topology)
 
-        deadlines: Dict[int, float] = {}
-        prev_rates: Dict[int, float] = {}
-        stalls = 0
+        inf = float("inf")
+        rate_of = {fid: 0.0 for fid in active}
+        synced = {fid: 0.0 for fid in active}
+        deadlines = {fid: inf for fid in active}
         while active:
             rates = self.max_min_rates(
                 list(active.values()),
@@ -284,48 +276,18 @@ class Fabric:
                     "link failure zeroed every path")
             for fid in active:
                 rate = rates[fid]
-                if rate > 0 and rate != prev_rates.get(fid):
+                if rate != rate_of[fid]:
+                    remaining_bits[fid] -= \
+                        rate_of[fid] * 1e9 * (now - synced[fid])
+                    synced[fid] = now
+                    rate_of[fid] = rate
                     deadlines[fid] = now + \
-                        remaining_bits[fid] / (rate * 1e9)
-            prev_rates = dict(rates)
-            t_next = min(deadlines[fid] for fid in active
-                         if rates[fid] > 0)
-            elapsed = t_next - now
-            now = t_next
-            done = []
-            for fid in list(active):
-                if rates[fid] > 0:
-                    remaining_bits[fid] -= rates[fid] * 1e9 * elapsed
-                if remaining_bits[fid] <= DONE_BITS:
-                    finish[fid] = now
-                    done.append(fid)
-            for fid in done:
+                        remaining_bits[fid] / (rate * 1e9) \
+                        if rate > 0 else inf
+            now = max(now, min(deadlines[fid] for fid in active))
+            for fid in [fid for fid in active if deadlines[fid] <= now]:
+                finish[fid] = now
                 del active[fid]
-                deadlines.pop(fid, None)
-                prev_rates.pop(fid, None)
-            if done:
-                stalls = 0
-                continue
-            # Advancing to the earliest deadline completed nothing:
-            # subtracting rate*elapsed rounded the residue one ulp
-            # above the done threshold.  Re-aim the expired deadlines
-            # from the surviving residue; when the residual delay is
-            # below the clock resolution (now + delay == now) the flow
-            # completes here.  Repeated stalls indicate a real wedge.
-            stalls += 1
-            if stalls >= 8:
-                raise RuntimeError(
-                    "fluid completion made no progress")
-            for fid in list(active):
-                if rates[fid] > 0 and deadlines[fid] <= now:
-                    delay = remaining_bits[fid] / (rates[fid] * 1e9)
-                    if now + delay == now:
-                        finish[fid] = now
-                        del active[fid]
-                        deadlines.pop(fid, None)
-                        prev_rates.pop(fid, None)
-                    else:
-                        deadlines[fid] = now + delay
 
         return FabricRun(
             total_time_s=now,

@@ -15,7 +15,8 @@ cross-checks them systematically:
   (engine vs batch, max-min kernel vs reference, flow-mapped vs
   analytic, fluid vs packet);
 * :mod:`~repro.validation.metamorphic` — transform the input,
-  predict the output (rate scaling, idle job, unused link);
+  predict the output (rate scaling, idle job, unused link, component
+  isolation);
 * :mod:`~repro.validation.runner` — the ``repro validate`` campaign.
 """
 
@@ -28,6 +29,7 @@ from .differential import (
     ring_busbw_gbps,
 )
 from .metamorphic import (
+    check_component_isolation,
     check_idle_job_noop,
     check_rate_scaling,
     check_unused_link_noop,
@@ -71,6 +73,7 @@ __all__ = [
     "build_flows",
     "build_topology",
     "check_clock_monotonic",
+    "check_component_isolation",
     "check_engine_vs_batch",
     "check_fluid_vs_packet",
     "check_idle_job_noop",

@@ -8,9 +8,12 @@ physics must satisfy:
   the float scaling is lossless, so the comparison is exact;
 * adding an idle job (zero-size flows, or a flow that starts after
   the last finish) changes nothing;
-* killing a link no flow uses changes nothing.
+* killing a link no flow uses changes nothing;
+* adding a job whose directed hops are disjoint from every other
+  flow's changes nobody else's finish time (component isolation — the
+  property folding and bounded refinement rest on).
 
-All three rebuild the world from a :class:`ScenarioSpec`, so flow ids,
+All four rebuild the world from a :class:`ScenarioSpec`, so flow ids,
 source ports, and therefore ECMP paths are identical between the base
 and transformed runs — the only safe way to compare, since a changed
 candidate set would re-hash paths and legitimately change the answer.
@@ -21,14 +24,19 @@ outside every other flow's ECMP candidate set.
 
 from __future__ import annotations
 
-from typing import List, Optional
+import random
+from dataclasses import replace
+from typing import Dict, List, Optional
 
+from ..network.engine import FabricEngine
 from ..network.fabric import Fabric
 from ..network.flows import make_flow
+from ..network.routing import RoutingError
 from .oracles import Violation
-from .scenarios import ScenarioSpec, build_flows, build_topology
+from .scenarios import FlowSpec, ScenarioSpec, build_flows, build_topology
 
 __all__ = [
+    "check_component_isolation",
     "check_idle_job_noop",
     "check_rate_scaling",
     "check_serving_powercap_identity",
@@ -260,3 +268,65 @@ def check_unused_link_noop(spec: ScenarioSpec) -> List[Violation]:
                 f"{degraded[fid]!r} after killing unused link "
                 f"{victim}"))
     return violations
+
+
+def _engine_finish(spec: ScenarioSpec) -> Dict[int, float]:
+    """The spec's flows on the event engine at their start times, with
+    its degrade faults replayed (the timed battery carries no others)."""
+    engine = FabricEngine(Fabric(build_topology(spec)))
+    for flow in build_flows(spec):
+        engine.submit(flow)
+    for fault in spec.faults:
+        engine.set_capacity_factor(fault.link_id, fault.factor,
+                                   at=fault.at_s)
+    return engine.run().finish_times_s
+
+
+def _isolated_job(spec: ScenarioSpec,
+                  horizon_s: float) -> Optional[FlowSpec]:
+    """A seeded flow, started before *horizon_s*, whose directed hops
+    avoid every spec flow's; None when no host pair and rail has one."""
+    fabric = Fabric(build_topology(spec))
+    used = {hop for path in fabric.resolve_paths(build_flows(spec)).values()
+            for hop in fabric.directed_hops(path)}
+    rng = random.Random(f"isolation:{spec.seed}:{spec.index}")
+    size_bits = 10 ** rng.uniform(8.0, 11.0)
+    start_s = rng.uniform(0.0, horizon_s)
+    hosts = sorted(host.name for host in fabric.topology.hosts())
+    candidates = [(src, dst, rail) for src in hosts for dst in hosts
+                  if src != dst for rail in range(spec.topo["gpus_per_host"])]
+    rng.shuffle(candidates)
+    for src, dst, rail in candidates:
+        job = FlowSpec(src, dst, rail, size_bits, start_s, job="isolated")
+        # Routed as the appended flow it becomes (same id, same hash).
+        probe = build_flows(replace(spec, flows=spec.flows + [job]))[-1]
+        try:
+            if used.isdisjoint(
+                    fabric.directed_hops(fabric.router.path(probe))):
+                return job
+        except RoutingError:
+            continue
+    return None
+
+
+def check_component_isolation(spec: ScenarioSpec) -> List[Violation]:
+    """A link-disjoint job must not move any other flow's finish time.
+
+    The job is one seeded flow appended after the spec's flows (their
+    ids and ECMP paths are unchanged) and started while they run.  It
+    is its own max-min component, so its events may not round anyone
+    else's arithmetic: every base finish must compare ``==``.  Folding
+    and bounded refinement rest on this.  Vacuous when every path
+    shares a directed hop with some spec flow.
+    """
+    base = _engine_finish(spec)
+    job = _isolated_job(spec, max(base.values(), default=0.0))
+    if job is None:
+        return []
+    extended = _engine_finish(replace(spec, flows=spec.flows + [job]))
+    return [Violation(
+        "component-isolation",
+        f"flow {fid}: finish moved from {base_t!r} to {extended[fid]!r} "
+        f"after adding link-disjoint flow {job.src}->{job.dst} rail "
+        f"{job.rail} at t={job.start_s!r}")
+        for fid, base_t in base.items() if extended[fid] != base_t]

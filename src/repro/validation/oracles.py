@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..network.fabric import DONE_BITS, Fabric, LinkDir
+from ..network.fabric import Fabric, LinkDir
 from ..network.flows import Flow, FlowPath
 from ..simcore import Simulator
 
@@ -350,11 +350,11 @@ def replay_conservation(fabric: Fabric, flows: Sequence[Flow],
                 * (t1 - t0)
 
     for flow in sized:
-        # The integrator declares a flow done once its residue drops
-        # below DONE_BITS, and each epoch's product rounds; a budget
-        # of 1 bit absolute (or 1e-9 relative for very large flows)
-        # separates that from a genuinely lost or duplicated epoch.
-        tol_bits = max(1.0, 1e-9 * flow.size_bits) + DONE_BITS
+        # A flow finishes at its rounded deadline and each epoch's
+        # product rounds; a budget of 1 bit absolute (or 1e-9 relative
+        # for very large flows) separates that from a genuinely lost
+        # or duplicated epoch.
+        tol_bits = max(1.0, 1e-9 * flow.size_bits)
         deficit = flow.size_bits - delivered[flow.flow_id]
         if abs(deficit) > tol_bits:
             violations.append(Violation(

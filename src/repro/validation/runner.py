@@ -16,7 +16,8 @@ batch       solver (feasibility, conservation, KKT), engine-vs-batch
             bit-identity, byte-conservation replay, metamorphic
             (rate scaling, idle job, unused link), determinism
 timed       clock monotonicity, per-epoch solver oracles + byte
-            conservation via replay, determinism
+            conservation via replay, component isolation (a
+            link-disjoint job moves no other finish time), determinism
 degrade     same as timed, with the degrade schedule folded into the
             replay's capacity events
 faulted     clock monotonicity, full accounting (every flow finishes
@@ -29,10 +30,10 @@ hierarchical flat-vs-folded bit-exact differential (certified pod
             ``==``), fold effectiveness (the fold must actually
             shrink the engine-simulated host count), determinism
 faulted-    bounded-vs-whole-pod refinement bit-exact differential
-hierarchical under a sampled fault document (correlated domains and
-            explicit faults), the escalation-ladder assertion (the
-            fault class predicts the refinement level), and — for
-            iteration-indexed faults — the flat differential too
+hierarchical under a sampled fault document (correlated domains,
+            explicit and timestamp faults), the escalation-ladder
+            assertion (the fault class predicts the refinement level),
+            and the flat differential too
 serving     rate-doubling monotonicity (Poisson superposition over the
             same base population), the zero-arrival fabric no-op, the
             full-contract power-cap identity, determinism
@@ -63,6 +64,7 @@ from .differential import (
     check_rs_ag_composition,
 )
 from .metamorphic import (
+    check_component_isolation,
     check_idle_job_noop,
     check_rate_scaling,
     check_serving_powercap_identity,
@@ -277,8 +279,8 @@ def _batch_fingerprint(spec: ScenarioSpec) -> Dict[int, float]:
 def _check_timed(spec: ScenarioSpec, fast: bool) -> (List[str],
                                                      List[Violation]):
     checks = ["clock-monotonic", "byte-conservation",
-              "per-epoch-solver-oracles", "bit-identical-replay",
-              "kernel-reference"]
+              "per-epoch-solver-oracles", "component-isolation",
+              "bit-identical-replay", "kernel-reference"]
     violations: List[Violation] = []
     run, _, _, sim, _, flows = _run_engine_scenario(spec)
     violations += check_clock_monotonic(sim.trace)
@@ -289,6 +291,7 @@ def _check_timed(spec: ScenarioSpec, fast: bool) -> (List[str],
     violations += replay_conservation(
         replay_fabric, flows, run.finish_times_s, run.paths,
         capacity_events=capacity_events)
+    violations += check_component_isolation(spec)
     violations += check_same_result(
         lambda: _engine_fingerprint(spec), label=f"case {spec.index}")
     violations += check_kernel_reference(
@@ -522,30 +525,23 @@ def _check_faulted_hierarchical(spec: ScenarioSpec, fast: bool
             f"refine='pod' run must never plan block scope, got "
             f"{pod_levels!r}"))
 
-    # Timestamp faults are epoch-sensitive (the refined sub-simulation
-    # re-solves on a different epoch grid than the flat run), so the
-    # flat differential is only demanded for iteration-indexed faults.
-    timed = any(fault.at_time_s is not None
-                for fault in faults.values())
-    if not timed:
-        reset_flow_ids()
-        flat = MultiJobRun(build_flat_fabric(params),
-                           flat_job_configs(params, jobs, caps),
-                           faults=faults).run()
-        for name, outcome in flat.items():
-            refined = bounded[name]
-            if outcome.iteration_times_s != refined.iteration_times_s:
-                violations.append(Violation(
-                    "flat-vs-refined-exact",
-                    f"job {name}: flat {outcome.iteration_times_s!r} "
-                    f"!= bounded {refined.iteration_times_s!r}"))
-            if outcome.expected_iteration_s \
-                    != refined.expected_iteration_s:
-                violations.append(Violation(
-                    "flat-vs-refined-exact",
-                    f"job {name}: flat expectation "
-                    f"{outcome.expected_iteration_s!r} != bounded "
-                    f"{refined.expected_iteration_s!r}"))
+    reset_flow_ids()
+    flat = MultiJobRun(build_flat_fabric(params),
+                       flat_job_configs(params, jobs, caps),
+                       faults=faults).run()
+    for name, outcome in flat.items():
+        refined = bounded[name]
+        if outcome.iteration_times_s != refined.iteration_times_s:
+            violations.append(Violation(
+                "flat-vs-refined-exact",
+                f"job {name}: flat {outcome.iteration_times_s!r} "
+                f"!= bounded {refined.iteration_times_s!r}"))
+        if outcome.expected_iteration_s != refined.expected_iteration_s:
+            violations.append(Violation(
+                "flat-vs-refined-exact",
+                f"job {name}: flat expectation "
+                f"{outcome.expected_iteration_s!r} != bounded "
+                f"{refined.expected_iteration_s!r}"))
 
     def _fingerprint():
         _, rerun = _run("bounded")

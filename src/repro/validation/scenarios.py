@@ -332,12 +332,13 @@ class ScenarioGenerator:
         """Attach a fault document plus the ladder level it predicts.
 
         Variants cover every rung the bounded-refinement oracle needs:
-        correlated domains whose member faults stay inside the
-        block-level certificate (``expect_level == "block"``), a
-        fail-stop switch-ASIC domain and a timestamp fault that must
-        provably escalate to whole-pod refinement (``"pod"``).  The
-        expected level is recorded in the spec so the oracle asserts
-        the *ladder*, not just result equality.
+        correlated domains, explicit faults and timestamp onsets whose
+        faults stay inside the block-level certificate
+        (``expect_level == "block"``), and a hash-sensitive fail-stop
+        switch-ASIC domain that must provably escalate to whole-pod
+        refinement (``"pod"``).  The expected level is recorded in the
+        spec so the oracle asserts the *ladder*, not just result
+        equality.
         """
         hosts_per_block = topo["hosts_per_block"]
         per_pod = [job for job in hierarchy["jobs"]
@@ -369,10 +370,8 @@ class ScenarioGenerator:
                 "kind": kind, "pod": pod, "block": block,
                 "size": min(2, pool), "mode": "gray",
                 "seed": rng.randrange(1000)}]
-            # The optics gray crawl (NIC fail-slow) degrades capacity
-            # while still transmitting: off line rate, so the block
-            # certificate refuses it.
-            expect = "pod" if kind == "optics-batch" else "block"
+            # Hash-free and block-scoped, the optics crawl included.
+            expect = "block"
         elif variant == "asic-stop":
             # SWITCH_BUG fail-stop severs paths: hash-sensitive, so the
             # certificate must refuse block scope.
@@ -396,13 +395,13 @@ class ScenarioGenerator:
                                        at_iteration=rng.choice([1, 2]))]
             expect = "block"
         else:
-            # Timestamp onset: epoch-sensitive, always whole-pod.
+            # Timestamp onset: mid-flight, still exact at block scope.
             document["faults"] = [{
                 "job": job_name, "cause": "nic-error",
                 "manifestation": "fail-slow",
                 "target": f"p{pod}.b{block}.h0",
                 "at_time_s": round(rng.uniform(0.05, 0.4), 3)}]
-            expect = "pod"
+            expect = "block"
         hierarchy["fault_document"] = document
         hierarchy["expect_level"] = expect
 

@@ -103,6 +103,18 @@ class TestCampaign:
         assert data["ok"] is True
 
 
+class TestFoldExactnessCases:
+    """Campaign cases whose flat and folded (or bounded and whole-pod)
+    runs once differed by an ulp: every fluid row was re-rounded by
+    events from components it shares no link with."""
+
+    @pytest.mark.parametrize("seed,index", [
+        (8, 5), (8, 29), (10, 21), (32, 29), (16, 46)])
+    def test_case_passes(self, seed, index):
+        case = run_case(seed, index, fast=True)
+        assert case.ok, [str(v) for v in case.violations]
+
+
 @pytest.mark.slow
 class TestFuzzSweep:
     """The long sweeps CI runs nightly; excluded from tier-1."""

@@ -54,6 +54,19 @@ class TestEngineVsBatch:
         flows = _random_flows(rng, hosts, rng.randint(2, 10))
         assert check_engine_vs_batch(fabric, flows) == []
 
+    def test_sub_micro_bit_flow_next_to_a_large_one(self):
+        """Only a size of 0 or less finishes on arrival: a 5e-7-bit
+        flow sharing a path with a 1e9-bit flow finishes at its own
+        (tiny, positive) deadline in both loops."""
+        topo = build_astral(AstralParams.small())
+        fabric = Fabric(topo)
+        hosts = sorted(host.name for host in topo.hosts())
+        flows = [make_flow(hosts[0], hosts[1], rail=0, size_bits=1e9),
+                 make_flow(hosts[0], hosts[1], rail=0, size_bits=5e-7)]
+        assert check_engine_vs_batch(fabric, flows) == []
+        assert fabric.complete(flows).finish_times_s[
+            flows[1].flow_id] > 0.0
+
     def test_regression_epoch_drift_seeds(self):
         """Seeds that drifted 1-2 ulp under the old relative-step
         batch integrator must now agree exactly."""

@@ -1,15 +1,24 @@
 """Metamorphic checks: transformed inputs, predictable outputs."""
 
+import dataclasses
+
 import pytest
 
 from repro.network import reset_flow_ids
 from repro.validation import (
     ScenarioGenerator,
+    build_flows,
+    build_topology,
+    check_component_isolation,
     check_idle_job_noop,
     check_rate_scaling,
     check_unused_link_noop,
 )
-from repro.validation.metamorphic import _batch_finish
+from repro.validation.metamorphic import (
+    _batch_finish,
+    _engine_finish,
+    _isolated_job,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -66,7 +75,6 @@ class TestUnusedLink:
         share), which the same comparison would flag."""
         spec = _batch_specs(7, count=1)[0]
         from repro.network import Fabric
-        from repro.validation import build_flows, build_topology
         topo = build_topology(spec)
         fabric = Fabric(topo)
         flows = build_flows(spec)
@@ -75,3 +83,36 @@ class TestUnusedLink:
         base = _batch_finish(spec)
         rerouted = _batch_finish(spec, fail_link_id=victim)
         assert base != rerouted
+
+
+def _timed_specs(seed, count=6):
+    """Timed- and degrade-profile specs (staggered starts) of one seed."""
+    from repro.validation.scenarios import PROFILES
+    generator = ScenarioGenerator(seed)
+    return [generator.spec(offset + index * len(PROFILES))
+            for index in range(count) for offset in (1, 2)]
+
+
+class TestComponentIsolation:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_link_disjoint_job_moves_no_finish_time(self, seed):
+        for spec in _timed_specs(seed):
+            assert check_component_isolation(spec) == [], spec.index
+
+    def test_job_is_disjoint_and_overlaps_the_run(self):
+        """The appended job is not vacuous: it shares no directed hop
+        with any spec flow and starts while they are in flight."""
+        from repro.network import Fabric
+        spec = _timed_specs(2, count=1)[0]
+        base = _engine_finish(spec)
+        job = _isolated_job(spec, max(base.values()))
+        assert job is not None
+        assert 0.0 <= job.start_s < max(base.values())
+        fabric = Fabric(build_topology(spec))
+        used = {hop for path in
+                fabric.resolve_paths(build_flows(spec)).values()
+                for hop in fabric.directed_hops(path)}
+        job_path = fabric.router.path(
+            build_flows(dataclasses.replace(
+                spec, flows=spec.flows + [job]))[-1])
+        assert used.isdisjoint(fabric.directed_hops(job_path))
